@@ -7,8 +7,9 @@ parsing the output reproduces the doubles bit for bit.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or malformed input,
 3 undefined moment (value is null in the response), 4 numerical
-non-convergence or failed estimation. The oracle seed is taken from --seed,
-else the TMOMENT_SEED environment variable, else 12345.
+non-convergence, overflow (a value beyond the double range) or failed
+estimation. The oracle seed is taken from --seed, else the TMOMENT_SEED
+environment variable, else 12345.
 """
 
 from __future__ import annotations
@@ -76,9 +77,11 @@ def _emit(response: dict, fmt: str) -> None:
 
 
 def _response(value, *, defined=True, reason="", formula="", mode="", diagnostics=None) -> dict:
+    if defined and not math.isfinite(value):
+        raise OverflowError(f"the value {value!r} is not a finite double")
     return {
         "schema": SCHEMA_VERSION,
-        "value": None if (value is None or not defined) else float(value),
+        "value": float(value) if defined else None,
         "defined": bool(defined),
         "reason": reason,
         "formula": formula,
@@ -463,6 +466,10 @@ def main(argv=None) -> int:
         _emit(_response(None, defined=False,
                         reason=f"numerical non-convergence: {e}"), args.format)
         print(f"error: {e}", file=sys.stderr)
+        return 4
+    except OverflowError as e:
+        _emit(_response(None, defined=False, reason=f"numerical overflow: {e}"), args.format)
+        print(f"error: numerical overflow: {e}", file=sys.stderr)
         return 4
     _emit(response, args.format)
     return code

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .normal_moments import _check_order
 from .specfun import gamma_ratio, hyp2f1
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -91,18 +92,12 @@ def _order_gate(k: float, nu: float, formula: str) -> MomentResult | None:
     return None
 
 
-def _check_int_order(k) -> int:
-    if isinstance(k, bool) or not float(k).is_integer() or k < 0:
-        raise DomainError(f"moment order must be a nonnegative integer, got {k!r}")
-    return int(k)
-
-
 def _check_real_order(k, allow_noninteger: bool):
     if allow_noninteger:
         if not k >= 0:
             raise DomainError(f"moment order must be nonnegative, got {k!r}")
         return float(k)
-    return _check_int_order(k)
+    return _check_order(k)
 
 
 def _series_diag(h) -> dict:
@@ -126,7 +121,7 @@ def raw_moment_standard(k, nu: float) -> MomentResult:
     Zero for odd k < nu; for even k < nu,
     Gamma((k+1)/2)/sqrt(pi) * nu^(k/2) / prod_{i=1}^{k/2} (nu/2 - i).
     """
-    k = _check_int_order(k)
+    k = _check_order(k)
     gate = _order_gate(k, nu, "raw-standard")
     if gate is not None:
         return gate
@@ -152,7 +147,7 @@ def abs_moment_standard(k, nu: float, *, allow_noninteger: bool = False) -> Mome
 
 def raw_moment(k, p: TParams1D) -> MomentResult:
     """E(T^k) for general (mu, sigma, nu), via terminating 2F1 sums."""
-    k = _check_int_order(k)
+    k = _check_order(k)
     gate = _order_gate(k, p.nu, "raw")
     if gate is not None:
         return gate
@@ -171,7 +166,7 @@ def raw_moment(k, p: TParams1D) -> MomentResult:
 
 def central_moment(k, p: TParams1D) -> MomentResult:
     """E((T - mu)^k): zero for odd k < nu, a pure gamma-ratio form for even k."""
-    k = _check_int_order(k)
+    k = _check_order(k)
     gate = _order_gate(k, p.nu, "central")
     if gate is not None:
         return gate
@@ -217,7 +212,7 @@ def raw_from_central(k, p: TParams1D) -> MomentResult:
     Provided as an independent route to :func:`raw_moment`; both must agree
     whenever the order is defined.
     """
-    k = _check_int_order(k)
+    k = _check_order(k)
     gate = _order_gate(k, p.nu, "raw-from-central")
     if gate is not None:
         return gate

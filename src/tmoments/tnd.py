@@ -29,10 +29,29 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DomainError, UndefinedMomentError
+from .normal_moments import _check_order
 from .t1d import MomentResult, _undefined
 
 _SQRT_PI = math.sqrt(math.pi)
 _SYMMETRY_TOL = 1e-12
+
+
+def _check_spd(mat, what: str) -> np.ndarray:
+    """The symmetrized copy of a symmetric positive definite matrix.
+
+    ``what`` names the matrix in the error messages.
+    """
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DomainError(f"{what} must be a square matrix, got shape {mat.shape}")
+    scale = max(np.abs(mat).max(), 1.0)
+    if np.abs(mat - mat.T).max() > _SYMMETRY_TOL * scale:
+        raise DomainError(f"{what} is not symmetric")
+    mat = 0.5 * (mat + mat.T)
+    eigs = np.linalg.eigvalsh(mat)
+    if eigs[0] <= 0:
+        raise DomainError(f"{what} is not positive definite (smallest eigenvalue {eigs[0]:.3e})")
+    return mat
 
 
 @dataclass(frozen=True)
@@ -44,10 +63,7 @@ class MultiIndex:
     def __post_init__(self):
         if len(self.k) == 0:
             raise DomainError("MultiIndex: needs at least one coordinate")
-        for ki in self.k:
-            if isinstance(ki, bool) or not float(ki).is_integer() or ki < 0:
-                raise DomainError(f"MultiIndex: entries must be nonnegative integers, got {ki!r}")
-        object.__setattr__(self, "k", tuple(int(ki) for ki in self.k))
+        object.__setattr__(self, "k", tuple(_check_order(ki) for ki in self.k))
 
     @classmethod
     def of(cls, k) -> "MultiIndex":
@@ -94,14 +110,7 @@ class TParamsND:
         if sig.shape != (mu.size, mu.size):
             raise DomainError(
                 f"TParamsND: sigma_mat shape {sig.shape} does not match dimension {mu.size}")
-        scale = max(np.abs(sig).max(), 1.0)
-        if np.abs(sig - sig.T).max() > _SYMMETRY_TOL * scale:
-            raise DomainError("TParamsND: sigma_mat is not symmetric")
-        sig = 0.5 * (sig + sig.T)
-        eigs = np.linalg.eigvalsh(sig)
-        if eigs[0] <= 0:
-            raise DomainError(
-                f"TParamsND: sigma_mat is not positive definite (smallest eigenvalue {eigs[0]:.3e})")
+        sig = _check_spd(sig, "TParamsND: sigma_mat")
         if not self.nu > 0:
             raise DomainError(f"TParamsND: nu must be positive, got {self.nu!r}")
         mu.setflags(write=False)

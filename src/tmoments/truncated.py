@@ -3,30 +3,41 @@
 F_k(a, b) = integral over the rectangle of t^k times the density, left
 unnormalized (divide by the order-0 value to condition on the rectangle).
 
-The normal building block is the classic one-step recursion that trades one
-order of the moment for boundary terms: differentiating the density moves one
-coordinate's exponent down and spawns (n-1)-dimensional moments on the two
-faces of that coordinate, with conditional mean and covariance given by the
-Schur complement. The Student-t moments are then the gamma-mixture average of
-the normal ones, integrated adaptively over the mixing variable (``corrected``
-mode). The ``literal`` mode instead runs the same recursion directly at the
-t level with the averaged coefficient nu/(nu-2) and a t-free boundary density;
-it is exact only where no averaging is involved and is kept for comparison.
+One recursion engine serves every route. Differentiating a normal density
+moves one coordinate's exponent down and spawns (n-1)-dimensional moments on
+the two faces of that coordinate, with conditional mean and covariance given
+by the Schur complement (Kan & Robotti 2017). The engine takes a step
+coefficient and an order-zero mass function, and its faces inherit both:
+
+* ``trunc_normal_moment``: coefficient 1, mass the normal rectangle
+  probability.
+* ``trunc_t_moment`` (``corrected`` mode): the normal engine at each value of
+  the gamma mixing variable, averaged by adaptive quadrature over that
+  variable. This is exact up to the quadrature error.
+* ``trunc_t_moment_literal`` (``literal`` mode): the engine run directly at
+  the t level with the averaged coefficient nu/(nu-2) and a t-free boundary
+  density; its mass is the gamma-mixture probability of the box or face. It
+  is exact only where no averaging is involved and is kept for comparison.
+
+Boxes with a finite bound are limited to n <= 3, the reach of the
+rectangle-probability quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import DomainError
 from .normal_moments import GammaParams
-from .oracle import DEFAULT_SEED, _run_quad, gamma_pdf, normal_pdf, tensor_quad
+from .oracle import (DEFAULT_SEED, QuadResult, _run_quad, gamma_pdf, normal_pdf,
+                     tensor_quad)
 from .t1d import MomentResult, _undefined
-from .tnd import MultiIndex, TParamsND
+from .tnd import MultiIndex, TParamsND, _check_spd
 
 _CLIP_SIGMAS = 9.5
 
@@ -63,21 +74,6 @@ class Rectangle:
         return Rectangle(self.lower[keep], self.upper[keep])
 
 
-def _check_spd(mat, name: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DomainError(f"{name}: expected a square matrix, got shape {mat.shape}")
-    scale = max(np.abs(mat).max(), 1.0)
-    if np.abs(mat - mat.T).max() > 1e-12 * scale:
-        raise DomainError(f"{name}: matrix is not symmetric")
-    mat = 0.5 * (mat + mat.T)
-    eigs = np.linalg.eigvalsh(mat)
-    if eigs[0] <= 0:
-        raise DomainError(f"{name}: matrix is not positive definite "
-                          f"(smallest eigenvalue {eigs[0]:.3e})")
-    return mat
-
-
 def _std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
@@ -111,41 +107,44 @@ def _rect_prob_cov(a: np.ndarray, b: np.ndarray, mean: np.ndarray, cov: np.ndarr
     return tensor_quad(density, lo, hi, tol=tol).value
 
 
-class _TruncNormal:
-    """Recursion state for unnormalized truncated moments of one N(mean, cov)."""
+class _Recursion:
+    """Unnormalized truncated moments of one location and covariance.
+
+    Lowering the first nonzero order i, F_k = mean_i F_(k-e_i) +
+    coef * sum_j cov_ij * corner_j, where corner_j holds the exponent-decrement
+    term of coordinate j and its two face terms. ``mass(a, b, mean, cov)``
+    gives the order-zero value; the faces are Schur complements and inherit
+    ``mass`` and ``coef``.
+    """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, mean: np.ndarray, cov: np.ndarray,
-                 prob_tol: float = 1e-10):
+                 mass, coef: float = 1.0):
         self.a = a
         self.b = b
         self.mean = mean
         self.cov = cov
         self.var = np.diag(cov)
         self.n = mean.size
-        self.prob_tol = prob_tol
+        self.mass = mass
+        self.coef = coef
         self._memo: dict[tuple[int, ...], float] = {}
-        self._faces: dict[tuple[int, int], _TruncNormal] = {}
-        self._prob: float | None = None
-
-    def prob(self) -> float:
-        if self._prob is None:
-            self._prob = _rect_prob_cov(self.a, self.b, self.mean, self.cov, self.prob_tol)
-        return self._prob
+        self._faces: dict[tuple[int, int], _Recursion] = {}
 
     def moment(self, k: tuple[int, ...]) -> float:
-        if not any(k):
-            return self.prob()
         val = self._memo.get(k)
-        if val is not None:
-            return val
+        if val is None:
+            val = self._step(k) if any(k) else self.mass(self.a, self.b, self.mean, self.cov)
+            self._memo[k] = val
+        return val
+
+    def _step(self, k: tuple[int, ...]) -> float:
         i = next(pos for pos, ki in enumerate(k) if ki)
         base = k[:i] + (k[i] - 1,) + k[i + 1:]
         val = self.mean[i] * self.moment(base)
         for j in range(self.n):
             cij = self.cov[i, j]
             if cij != 0.0:
-                val += cij * self._corner(base, j)
-        self._memo[k] = val
+                val += self.coef * cij * self._corner(base, j)
         return val
 
     def _corner(self, base: tuple[int, ...], j: int) -> float:
@@ -169,9 +168,6 @@ class _TruncNormal:
         # A face of a 1-D problem is zero-dimensional: the empty product is 1.
         if self.n == 1:
             return 1.0
-        return self._face(j, side).moment(reduced)
-
-    def _face(self, j: int, side: int) -> "_TruncNormal":
         face = self._faces.get((j, side))
         if face is None:
             x = self.b[j] if side else self.a[j]
@@ -179,9 +175,39 @@ class _TruncNormal:
             cj = self.cov[keep, j]
             mean_hat = self.mean[keep] + cj * (x - self.mean[j]) / self.var[j]
             cov_hat = self.cov[np.ix_(keep, keep)] - np.outer(cj, cj) / self.var[j]
-            face = _TruncNormal(self.a[keep], self.b[keep], mean_hat, cov_hat, self.prob_tol)
+            face = _Recursion(self.a[keep], self.b[keep], mean_hat, cov_hat, self.mass,
+                              self.coef)
             self._faces[(j, side)] = face
-        return face
+        return face.moment(reduced)
+
+
+def _t_mixture(k: tuple[int, ...], a: np.ndarray, b: np.ndarray, mean: np.ndarray,
+               cov: np.ndarray, nu: float, tol: float) -> QuadResult:
+    """Gamma-mixture integral of the normal recursion over N(mean, cov / t).
+
+    The breakpoint u = 1/2 is t = 1, the mean of the mixing law: without it
+    QUADPACK can accept a single 21-point panel whose error estimate is far
+    below its true error.
+    """
+    mixing = GammaParams(nu / 2.0, nu / 2.0)
+    mass = partial(_rect_prob_cov, tol=max(tol * 1e-2, 1e-11))
+
+    def mixed(u: float) -> float:
+        t = u / (1.0 - u)
+        problem = _Recursion(a, b, mean, cov / t, mass)
+        return problem.moment(k) * gamma_pdf(t, mixing) / (1.0 - u) ** 2
+
+    return _run_quad(mixed, 0.0, 1.0, tol, points=[0.5])
+
+
+def _check_box(name: str, k, r: Rectangle, dim: int) -> MultiIndex:
+    k = MultiIndex.of(k)
+    if not (k.dim == r.dim == dim):
+        raise DomainError(f"{name}: dimensions of k, rectangle and parameters disagree")
+    if r.dim > 3 and (np.isfinite(r.lower).any() or np.isfinite(r.upper).any()):
+        raise DomainError(f"{name}: quadrature supports n <= 3 when a bound is finite, "
+                          f"got n = {r.dim}")
+    return k
 
 
 def rectangle_probability(r: Rectangle, mean, precision_scaled, *, tol: float = 1e-8,
@@ -196,7 +222,7 @@ def rectangle_probability(r: Rectangle, mean, precision_scaled, *, tol: float = 
     if r.dim != mean.size:
         raise DomainError(f"rectangle_probability: rectangle dimension {r.dim} "
                           f"does not match mean dimension {mean.size}")
-    prec = _check_spd(precision_scaled, "rectangle_probability")
+    prec = _check_spd(precision_scaled, "rectangle_probability: matrix")
     if method not in ("auto", "quad", "mc"):
         raise DomainError(f"rectangle_probability: unknown method {method!r}")
     if method == "mc" or (method == "auto" and mean.size > 3):
@@ -219,13 +245,12 @@ def trunc_normal_moment(k, r: Rectangle, mean, precision_scaled) -> float:
     ``precision_scaled`` is the precision (inverse covariance) matrix of the
     normal; it is inverted once and the recursion runs in covariance form.
     """
-    k = MultiIndex.of(k)
     mean = np.asarray(mean, dtype=float)
-    if not (k.dim == r.dim == mean.size):
-        raise DomainError("trunc_normal_moment: dimensions of k, rectangle and mean disagree")
-    prec = _check_spd(precision_scaled, "trunc_normal_moment")
+    k = _check_box("trunc_normal_moment", k, r, mean.size)
+    prec = _check_spd(precision_scaled, "trunc_normal_moment: matrix")
     cov = cho_solve(cho_factor(prec, lower=True), np.eye(mean.size))
-    return _TruncNormal(r.lower, r.upper, mean, cov).moment(k.k)
+    mass = partial(_rect_prob_cov, tol=1e-10)
+    return _Recursion(r.lower, r.upper, mean, cov, mass).moment(k.k)
 
 
 def trunc_t_moment(k, r: Rectangle, p: TParamsND, *, tol: float = 1e-9) -> MomentResult:
@@ -235,110 +260,34 @@ def trunc_t_moment(k, r: Rectangle, p: TParamsND, *, tol: float = 1e-9) -> Momen
     is solved by the moment recursion; the results are integrated against
     Gamma(t | nu/2, nu/2), with (0, inf) mapped to (0, 1) by t = u/(1-u).
     """
-    k = MultiIndex.of(k)
-    if not (k.dim == r.dim == p.dim):
-        raise DomainError("trunc_t_moment: dimensions of k, rectangle and parameters disagree")
+    k = _check_box("trunc_t_moment", k, r, p.dim)
     if k.total >= p.nu:
         return _undefined("trunc-mixture", "corrected")
-    prec_inv = p.precision_inverse()
-    mixing = GammaParams(p.nu / 2.0, p.nu / 2.0)
-    prob_tol = max(tol * 1e-2, 1e-11)
-
-    def mixed(u: float) -> float:
-        t = u / (1.0 - u)
-        problem = _TruncNormal(r.lower, r.upper, p.mu, prec_inv / t, prob_tol)
-        return problem.moment(k.k) * gamma_pdf(t, mixing) / (1.0 - u) ** 2
-
-    quad_res = _run_quad(mixed, 0.0, 1.0, tol)
+    quad_res = _t_mixture(k.k, r.lower, r.upper, p.mu, p.precision_inverse(), p.nu, tol)
     return MomentResult(quad_res.value, formula="trunc-mixture", mode="corrected",
                         diagnostics={"quad_abs_error": quad_res.est_abs_error,
                                      "quad_evaluations": quad_res.evaluations})
 
 
-class _TruncTLiteral:
-    """The printed one-step recursion applied directly at the t level.
-
-    Coefficient matrix Sigma^(-1) with the averaged factor nu/(nu-2), boundary
-    densities with t-free variance diag(Sigma^(-1)), base case handled by the
-    corrected mixture integral (exact at order zero).
-    """
-
-    def __init__(self, rect: Rectangle, p: TParamsND, tol: float):
-        self.rect = rect
-        self.p = p
-        self.tol = tol
-        self.lam = p.precision_inverse()
-        self.var = np.diag(self.lam)
-        self.factor = p.nu / (p.nu - 2.0)
-        self._memo: dict[tuple[int, ...], float] = {}
-        self._faces: dict[tuple[int, int], _TruncTLiteral] = {}
-        self._prob: float | None = None
-
-    def moment(self, k: tuple[int, ...]) -> float:
-        if not any(k):
-            if self._prob is None:
-                zero = MultiIndex(tuple([0] * self.p.dim))
-                self._prob = trunc_t_moment(zero, self.rect, self.p, tol=self.tol).value
-            return self._prob
-        val = self._memo.get(k)
-        if val is not None:
-            return val
-        i = next(pos for pos, ki in enumerate(k) if ki)
-        base = k[:i] + (k[i] - 1,) + k[i + 1:]
-        val = self.p.mu[i] * self.moment(base)
-        for j in range(self.p.dim):
-            lij = self.lam[i, j]
-            if lij != 0.0:
-                val += self.factor * lij * self._corner(base, j)
-        self._memo[k] = val
-        return val
-
-    def _corner(self, base: tuple[int, ...], j: int) -> float:
-        out = 0.0
-        if base[j]:
-            out += base[j] * self.moment(base[:j] + (base[j] - 1,) + base[j + 1:])
-        reduced = base[:j] + base[j + 1:]
-        aj = self.rect.lower[j]
-        if not math.isinf(aj):
-            out += (aj ** base[j] * normal_pdf(aj, self.p.mu[j], self.var[j])
-                    * self._face_moment(j, 0, reduced))
-        bj = self.rect.upper[j]
-        if not math.isinf(bj):
-            out -= (bj ** base[j] * normal_pdf(bj, self.p.mu[j], self.var[j])
-                    * self._face_moment(j, 1, reduced))
-        return out
-
-    def _face_moment(self, j: int, side: int, reduced: tuple[int, ...]) -> float:
-        if self.p.dim == 1:
-            return 1.0
-        face = self._faces.get((j, side))
-        if face is None:
-            x = self.rect.upper[j] if side else self.rect.lower[j]
-            keep = [i for i in range(self.p.dim) if i != j]
-            lj = self.lam[keep, j]
-            mean_hat = self.p.mu[keep] + lj * (x - self.p.mu[j]) / self.var[j]
-            lam_hat = self.lam[np.ix_(keep, keep)] - np.outer(lj, lj) / self.var[j]
-            sigma_hat = np.linalg.inv(lam_hat)
-            face = _TruncTLiteral(self.rect.dropped(j),
-                                  TParamsND(mean_hat, sigma_hat, self.p.nu), self.tol)
-            self._faces[(j, side)] = face
-        return face.moment(reduced)
-
-
 def trunc_t_moment_literal(k, r: Rectangle, p: TParamsND, *, tol: float = 1e-9) -> MomentResult:
     """Truncated t moment by the averaged-coefficient recursion (comparison mode).
 
-    Requires nu > 2. Exact for order zero and for full-space order-1 steps;
-    beyond that it deviates from :func:`trunc_t_moment` because the boundary
-    density and the 1/t coefficient are averaged separately.
+    The recursion runs at the t level with coefficient nu/(nu-2), boundary
+    densities of t-free variance diag(Sigma^(-1)), and the exact gamma-mixture
+    mass of every face at order zero. Requires nu > 2. Exact for order zero
+    and for full-space order-1 steps; beyond that it deviates from
+    :func:`trunc_t_moment` because the boundary density and the 1/t
+    coefficient are averaged separately.
     """
-    k = MultiIndex.of(k)
-    if not (k.dim == r.dim == p.dim):
-        raise DomainError("trunc_t_moment_literal: dimensions of k, rectangle and "
-                          "parameters disagree")
+    k = _check_box("trunc_t_moment_literal", k, r, p.dim)
     if not p.nu > 2:
         raise DomainError(f"trunc_t_moment_literal: requires nu > 2, got {p.nu!r}")
     if k.total >= p.nu:
         return _undefined("trunc-literal", "literal")
-    value = _TruncTLiteral(r, p, tol).moment(k.k)
-    return MomentResult(value, formula="trunc-literal", mode="literal")
+
+    def mass(a, b, mean, cov):
+        return _t_mixture((0,) * mean.size, a, b, mean, cov, p.nu, tol).value
+
+    problem = _Recursion(r.lower, r.upper, p.mu, p.precision_inverse(), mass,
+                         p.nu / (p.nu - 2.0))
+    return MomentResult(problem.moment(k.k), formula="trunc-literal", mode="literal")

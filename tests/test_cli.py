@@ -134,6 +134,24 @@ class TestExitCodes:
         assert payload["value"] is None
         assert payload["reason"].startswith("numerical non-convergence")
 
+    @pytest.mark.parametrize("argv", [
+        ("one-d", "--k", "30", "--mu", "1e20", "--nu", "100"),
+        ("multi", "--k", "30,0", "--mu", "1e20,0", "--nu", "100"),
+        ("one-d", "--kind", "abs", "--k", "31", "--mu", "1e20", "--nu", "100"),
+        ("one-d", "--kind", "central", "--k", "30", "--sigma", "1e-300", "--nu", "100"),
+    ])
+    def test_overflow_is_four(self, argv):
+        payload = run_json(*argv, expect_code=4)
+        assert payload["value"] is None
+        assert payload["defined"] is False
+        assert payload["reason"].startswith("numerical overflow")
+
+    def test_bounded_four_dimensional_truncation_is_two(self):
+        proc = run_cli("truncated", "--k", "1,0,0,0", "--lower=0,0,0,0", "--nu", "10")
+        assert proc.returncode == 2
+        assert "n <= 3" in proc.stderr
+        assert run_cli("truncated", "--k", "1,1,0,2", "--nu", "10").returncode == 0
+
     def test_verify_failure_is_one(self):
         # zero tolerance: the formula and quadrature values differ in the last
         # few ulps, so the check must report a mismatch

@@ -10,7 +10,7 @@ from tmoments.errors import DomainError
 from tmoments.normal_moments import NormalParams, normal_raw_moment
 from tmoments.oracle import mc_moment_nd, normal_pdf, quad_moment_1d, tensor_quad
 from tmoments.t1d import TParams1D
-from tmoments.tnd import TParamsND, raw_moment_nd
+from tmoments.tnd import TParamsND, raw_moment_nd, raw_moment_nd_literal
 from tmoments.truncated import (Rectangle, rectangle_probability, trunc_normal_moment,
                                 trunc_t_moment, trunc_t_moment_literal)
 
@@ -217,6 +217,17 @@ class TestTruncT:
         assert res.diagnostics["quad_abs_error"] < 1e-9
         assert res.diagnostics["quad_evaluations"] > 0
 
+    def test_single_panel_error_bound_regression(self):
+        # QUADPACK once accepted one 21-point panel here with a reported error
+        # of 9.1e-10 while the true error was 2.4e-7
+        mu, sigma, nu = -0.2519651044839989, 1.4103820777639569, 19.01795762817592
+        bounds = (-1.1988787579428704, 0.4695423072698557)
+        got = trunc_t_moment((2,), Rectangle([bounds[0]], [bounds[1]]),
+                             TParamsND([mu], [[sigma]], nu))
+        ref = quad_moment_1d("raw", 2, TParams1D(mu, sigma, nu), bounds=bounds, tol=1e-12)
+        assert abs(got.value - ref.value) <= 1e-10
+        assert abs(got.value - ref.value) <= got.diagnostics["quad_abs_error"] + 1e-12
+
     def test_dimension_check(self):
         p = TParamsND([0.0, 0.0], np.eye(2), 5.0)
         with pytest.raises(DomainError, match="dimensions"):
@@ -272,3 +283,41 @@ class TestTruncTLiteral:
         p = TParamsND([0.0, 0.0], np.eye(2), 5.0)
         with pytest.raises(DomainError, match="dimensions"):
             trunc_t_moment_literal((1,), Rectangle.full_space(2), p)
+
+    def test_pinned_values(self):
+        # the comparison mode has no oracle, so a change to the recursion must
+        # leave these values in place to relative 1e-12
+        p1 = TParamsND([0.3], [[1.7]], 6.5)
+        p2 = TParamsND([0.4, -0.3], [[1.5, 0.4], [0.4, 1.1]], 7.0)
+        cases = [((3,), Rectangle([-0.8], [1.9]), p1, 0.7288794877354302),
+                 ((2, 1), Rectangle([-1.0, -1.5], [2.0, 1.0]), p2, -0.2301161772724794),
+                 ((1, 2), Rectangle([-0.5, -INF], [1.5, 0.7]), p2, 0.5100667117061999)]
+        for k, r, p, ref in cases:
+            got = trunc_t_moment_literal(k, r, p).value
+            assert math.isclose(got, ref, rel_tol=1e-12), k
+
+    def test_full_space_matches_untruncated_literal(self):
+        # degree 3-4: the averaged coefficient multiplies exponent-decrement terms
+        p = TParamsND([0.4, -0.3], [[1.5, 0.4], [0.4, 1.1]], 9.0)
+        for k in [(2, 1), (2, 2)]:
+            got = trunc_t_moment_literal(k, Rectangle.full_space(2), p).value
+            ref = raw_moment_nd_literal(k, p).value
+            assert abs(got - ref) <= 1e-8 * max(1.0, abs(ref)), k
+
+
+class TestDimensionGuard:
+    def test_bounded_four_dimensional_box_is_rejected(self):
+        r = Rectangle([0.0, -INF, -INF, -INF], [INF] * 4)
+        p = TParamsND(np.zeros(4), np.eye(4), 10.0)
+        with pytest.raises(DomainError, match="n <= 3"):
+            trunc_t_moment((1, 0, 0, 0), r, p)
+        with pytest.raises(DomainError, match="n <= 3"):
+            trunc_t_moment_literal((1, 0, 0, 0), r, p)
+        with pytest.raises(DomainError, match="n <= 3"):
+            trunc_normal_moment((1, 0, 0, 0), r, np.zeros(4), np.eye(4))
+
+    def test_four_dimensional_full_space_still_works(self):
+        p = TParamsND([0.2, 0.0, -0.1, 0.3], np.eye(4), 10.0)
+        got = trunc_t_moment((1, 1, 0, 2), Rectangle.full_space(4), p)
+        ref = raw_moment_nd((1, 1, 0, 2), p)
+        assert abs(got.value - ref.value) <= 1e-8 * max(1.0, abs(ref.value))
