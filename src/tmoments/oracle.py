@@ -205,7 +205,8 @@ def tensor_quad(f, lower, upper, *, tol: float = 1e-8, order: int = 24,
 
     ``f`` maps an (N, n) array of points to N values. Panels are doubled per
     axis until two successive refinements differ by at most ``tol``; the
-    difference is the reported error bound.
+    difference is the reported error bound. An oracle only: the package's own
+    rectangle probabilities do not use it.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)

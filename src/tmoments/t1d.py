@@ -61,7 +61,9 @@ class MomentResult:
     ``value`` is meaningful only when ``defined`` is true (it is NaN
     otherwise); ``reason`` explains undefined results. ``formula`` tags which
     closed form or recursion produced the number, and ``mode`` distinguishes
-    closed forms from the two recursion variants.
+    closed forms from the two recursion variants. A defined value outside the
+    double range raises ``OverflowError``, as the float arithmetic that
+    produces most overflows already does.
     """
 
     value: float
@@ -70,6 +72,10 @@ class MomentResult:
     formula: str = ""
     mode: str = "closed-form"
     diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.defined and not math.isfinite(self.value):
+            raise OverflowError(f"the value {self.value!r} is not a finite double")
 
     def __float__(self) -> float:
         return float(self.value)

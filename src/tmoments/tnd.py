@@ -228,7 +228,7 @@ def std_abs_moment_nd(k, nu: float) -> MomentResult:
     return MomentResult(value, formula="abs-standard-nd")
 
 
-def _conditional_poly(k: tuple[int, ...], mu: np.ndarray, prec_inv: np.ndarray,
+def _conditional_poly(k: tuple[int, ...], mu: list[float], prec_inv: list[list[float]],
                       memo: dict) -> dict[int, float]:
     # One-step recursion for the conditional normal moment, kept symbolic in
     # the reciprocal mixing power: lowering the first active coordinate i,
@@ -245,7 +245,7 @@ def _conditional_poly(k: tuple[int, ...], mu: np.ndarray, prec_inv: np.ndarray,
         lower = _conditional_poly(base, mu, prec_inv, memo)
         poly = {m: mu[i] * c for m, c in lower.items()} if mu[i] != 0.0 else {}
         for j, kj in enumerate(base):
-            w = prec_inv[i, j] * kj
+            w = prec_inv[i][j] * kj
             if w != 0.0:
                 sub = _conditional_poly(base[:j] + (kj - 1,) + base[j + 1:], mu, prec_inv, memo)
                 for m, c in sub.items():
@@ -263,8 +263,9 @@ def conditional_moment_poly(k, p: TParamsND) -> MixturePoly:
     k = MultiIndex.of(k)
     if k.dim != p.dim:
         raise DomainError(f"order has dimension {k.dim}, parameters have {p.dim}")
-    prec_inv = p.precision_inverse()
-    return MixturePoly(_conditional_poly(k.k, p.mu, prec_inv, {}))
+    # Python floats overflow to inf silently, where numpy scalars warn.
+    prec_inv = p.precision_inverse().tolist()
+    return MixturePoly(_conditional_poly(k.k, p.mu.tolist(), prec_inv, {}))
 
 
 def raw_moment_nd(k, p: TParamsND) -> MomentResult:

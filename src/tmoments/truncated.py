@@ -19,8 +19,10 @@ coefficient and an order-zero mass function, and its faces inherit both:
   density; its mass is the gamma-mixture probability of the box or face. It
   is exact only where no averaging is involved and is kept for comparison.
 
-Boxes with a finite bound are limited to n <= 3, the reach of the
-rectangle-probability quadrature.
+The normal rectangle probability behind every mass is exact in 1-D (erf)
+and 2-D (Owen's T function, Owen 1956); in 3-D it is one adaptive integral of
+the exact 2-D probability of the conditional pair over the first axis (Genz
+2004). Boxes with a finite bound are therefore limited to n <= 3.
 """
 
 from __future__ import annotations
@@ -31,15 +33,15 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.special import owens_t
 
 from .errors import DomainError
 from .normal_moments import GammaParams
-from .oracle import (DEFAULT_SEED, QuadResult, _run_quad, gamma_pdf, normal_pdf,
-                     tensor_quad)
+from .oracle import DEFAULT_SEED, QuadResult, _run_quad, gamma_pdf, normal_pdf
 from .t1d import MomentResult, _undefined
 from .tnd import MultiIndex, TParamsND, _check_spd
 
-_CLIP_SIGMAS = 9.5
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,9 +80,77 @@ def _std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+def _owen_term(h: float, num: float, r: float) -> float:
+    # T(h, num / (h r)); at h = 0 the argument is +-inf and T(0, +-inf) = +-1/4.
+    if h == 0.0:
+        return math.copysign(0.25, num)
+    return float(owens_t(h, num / (h * r)))
+
+
+def _bvn_cdf(h: float, k: float, rho: float) -> float:
+    """P(Z1 <= h, Z2 <= k) for standard normals at correlation rho (Owen 1956)."""
+    if h == -math.inf or k == -math.inf:
+        return 0.0
+    if h == math.inf:
+        return _std_normal_cdf(k)
+    if k == math.inf:
+        return _std_normal_cdf(h)
+    if h == 0.0 and k == 0.0:
+        return 0.25 + math.asin(rho) / (2.0 * math.pi)
+    r = math.sqrt((1.0 - rho) * (1.0 + rho))
+    val = (0.5 * (_std_normal_cdf(h) + _std_normal_cdf(k))
+           - _owen_term(h, k - rho * h, r) - _owen_term(k, h - rho * k, r))
+    if (h < 0.0) != (k < 0.0):
+        val -= 0.5
+    return val
+
+
+def _bvn_box(lo1: float, hi1: float, lo2: float, hi2: float, rho: float) -> float:
+    """P(lo < Z < hi) for a standard normal pair at correlation rho."""
+    # An axis whose interval lies mostly above the mean is reflected, so the
+    # corner values are lower-tail probabilities instead of values near 1.
+    if lo1 + hi1 > 0.0:
+        lo1, hi1, rho = -hi1, -lo1, -rho
+    if lo2 + hi2 > 0.0:
+        lo2, hi2, rho = -hi2, -lo2, -rho
+    p = ((_bvn_cdf(hi1, hi2, rho) - _bvn_cdf(lo1, hi2, rho))
+         - (_bvn_cdf(hi1, lo2, rho) - _bvn_cdf(lo1, lo2, rho)))
+    return max(p, 0.0)
+
+
+def _tvn_box(a: list[float], b: list[float], mean: list[float], cov: list[list[float]],
+             tol: float) -> float:
+    """Trivariate normal box probability by conditioning on axis 0 (Genz 2004).
+
+    Given z = (x_0 - m_0)/s_0 the other two axes are a bivariate normal whose
+    box probability is exact; one adaptive integral over z against the
+    standard normal density, on infinite ranges where a bound is infinite,
+    gives the rest.
+    """
+    s0 = math.sqrt(cov[0][0])
+    z_lo, z_hi = (a[0] - mean[0]) / s0, (b[0] - mean[0]) / s0
+    c1, c2 = cov[0][1] / s0, cov[0][2] / s0
+    s1 = math.sqrt(cov[1][1] - c1 * c1)
+    s2 = math.sqrt(cov[2][2] - c2 * c2)
+    rho = (cov[1][2] - c1 * c2) / (s1 * s2)
+    lo1, hi1 = (a[1] - mean[1]) / s1, (b[1] - mean[1]) / s1
+    lo2, hi2 = (a[2] - mean[2]) / s2, (b[2] - mean[2]) / s2
+    g1, g2 = c1 / s1, c2 / s2
+
+    def conditional(z: float) -> float:
+        return (math.exp(-0.5 * z * z) / _SQRT_2PI
+                * _bvn_box(lo1 - g1 * z, hi1 - g1 * z, lo2 - g2 * z, hi2 - g2 * z, rho))
+
+    return _run_quad(conditional, z_lo, z_hi, tol).value
+
+
 def _rect_prob_cov(a: np.ndarray, b: np.ndarray, mean: np.ndarray, cov: np.ndarray,
                    tol: float) -> float:
-    """Normal rectangle probability, covariance parameterization."""
+    """Normal rectangle probability, covariance parameterization.
+
+    Exact in 1-D (erf) and 2-D (Owen's T); in 3-D one conditioning integral
+    of the exact 2-D probability, to absolute error ``tol``.
+    """
     n = mean.size
     if np.all(np.isneginf(a)) and np.all(np.isposinf(b)):
         return 1.0
@@ -89,22 +159,12 @@ def _rect_prob_cov(a: np.ndarray, b: np.ndarray, mean: np.ndarray, cov: np.ndarr
         hi = 1.0 if math.isinf(b[0]) else _std_normal_cdf((b[0] - mean[0]) / s)
         lo = 0.0 if math.isinf(a[0]) else _std_normal_cdf((a[0] - mean[0]) / s)
         return max(hi - lo, 0.0)
-    sd = np.sqrt(np.diag(cov))
-    lo = np.maximum(a, mean - _CLIP_SIGMAS * sd)
-    hi = np.minimum(b, mean + _CLIP_SIGMAS * sd)
-    if not np.all(lo < hi):
-        return 0.0
-    factor = cho_factor(cov, lower=True)
-    prec = cho_solve(factor, np.eye(n))
-    logdet = 2.0 * math.fsum(math.log(d) for d in np.diag(factor[0]))
-    log_norm = -0.5 * (n * math.log(2.0 * math.pi) + logdet)
-
-    def density(pts: np.ndarray) -> np.ndarray:
-        d = pts - mean
-        q = np.einsum("ij,jk,ik->i", d, prec, d)
-        return np.exp(log_norm - 0.5 * q)
-
-    return tensor_quad(density, lo, hi, tol=tol).value
+    a, b, mean, cov = a.tolist(), b.tolist(), mean.tolist(), cov.tolist()
+    if n == 3:
+        return _tvn_box(a, b, mean, cov, tol)
+    s1, s2 = math.sqrt(cov[0][0]), math.sqrt(cov[1][1])
+    return _bvn_box((a[0] - mean[0]) / s1, (b[0] - mean[0]) / s1,
+                    (a[1] - mean[1]) / s2, (b[1] - mean[1]) / s2, cov[0][1] / (s1 * s2))
 
 
 class _Recursion:
@@ -215,8 +275,10 @@ def rectangle_probability(r: Rectangle, mean, precision_scaled, *, tol: float = 
                           seed: int = DEFAULT_SEED) -> float:
     """P(a <= X <= b) for X ~ N(mean, precision_scaled^(-1)).
 
-    Dimensions 1-3 use exact/erf and tensor Gauss-Legendre quadrature (error
-    at most ``tol``); higher dimensions require ``method="mc"``.
+    Dimensions 1 and 2 are exact (erf, Owen's T); dimension 3 integrates the
+    exact 2-D conditional probability over one axis to absolute error
+    ``tol``, which matters only there. Higher dimensions require
+    ``method="mc"``.
     """
     mean = np.asarray(mean, dtype=float)
     if r.dim != mean.size:

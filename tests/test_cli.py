@@ -141,10 +141,15 @@ class TestExitCodes:
         ("one-d", "--kind", "central", "--k", "30", "--sigma", "1e-300", "--nu", "100"),
     ])
     def test_overflow_is_four(self, argv):
-        payload = run_json(*argv, expect_code=4)
+        proc = run_cli(*argv)
+        assert proc.returncode == 4, proc.stderr
+        payload = json.loads(proc.stdout)
+        jsonschema.validate(payload, SCHEMA)
+        assert list(payload.keys()) == RESPONSE_KEYS
         assert payload["value"] is None
         assert payload["defined"] is False
         assert payload["reason"].startswith("numerical overflow")
+        assert proc.stderr.splitlines() == [f"error: {payload['reason']}"]
 
     def test_bounded_four_dimensional_truncation_is_two(self):
         proc = run_cli("truncated", "--k", "1,0,0,0", "--lower=0,0,0,0", "--nu", "10")

@@ -177,6 +177,17 @@ class TestDefinedness:
         with pytest.raises(DomainError):
             abs_moment(-0.5, p, allow_noninteger=True)
 
+    @pytest.mark.parametrize("fn, k, p", [
+        (raw_moment, 30, TParams1D(1e20, 1.0, 100.0)),
+        (abs_moment, 31, TParams1D(1e20, 1.0, 100.0)),
+        (central_moment, 30, TParams1D(0.0, 1e-300, 100.0)),
+    ])
+    def test_overflow_raises(self, fn, k, p):
+        # raw_moment's value overflows to inf inside the sum, the other two in
+        # a float power; all three end in the same error
+        with pytest.raises(OverflowError):
+            fn(k, p)
+
 
 class TestMomentResultProtocol:
     def test_float_conversion(self):

@@ -5,16 +5,68 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from tmoments.errors import DomainError
 from tmoments.normal_moments import NormalParams, normal_raw_moment
 from tmoments.oracle import mc_moment_nd, normal_pdf, quad_moment_1d, tensor_quad
 from tmoments.t1d import TParams1D
-from tmoments.tnd import TParamsND, raw_moment_nd, raw_moment_nd_literal
+from tmoments.tnd import TParamsND, raw_moment_nd, raw_moment_nd_literal, t_pdf_nd
 from tmoments.truncated import (Rectangle, rectangle_probability, trunc_normal_moment,
                                 trunc_t_moment, trunc_t_moment_literal)
 
 INF = math.inf
+
+
+def _tangent_box(lower, upper, center, scale):
+    """Integration limits and point map for ``tensor_quad``: axes with an
+    infinite bound use x = center + scale tan(theta), finite ones x itself."""
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    tan = np.isinf(lower) | np.isinf(upper)
+    lo = np.where(tan, np.arctan((lower - center) / scale), lower)
+    hi = np.where(tan, np.arctan((upper - center) / scale), upper)
+
+    def to_x(pts):
+        x = pts.copy()
+        x[:, tan] = center[tan] + scale[tan] * np.tan(pts[:, tan])
+        return x, np.prod(scale[tan] / np.cos(pts[:, tan]) ** 2, axis=1)
+
+    return lo, hi, to_x
+
+
+def _normal_box_oracle(k, lower, upper, mean, cov, tol=1e-13):
+    """Integral of x^k times the N(mean, cov) density over a 2-D or 3-D box.
+
+    ``tensor_quad`` covers axes 0 and 1; in 3-D the last axis, which must
+    carry order 0, is integrated exactly by erf given the first two.
+    """
+    mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
+    lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+    s = cov[:2, :2]
+    prec = np.linalg.inv(s)
+    log_norm = -math.log(2.0 * math.pi) - 0.5 * math.log(np.linalg.det(s))
+    lo, hi, to_x = _tangent_box(lower[:2], upper[:2], mean[:2], np.sqrt(np.diag(s)))
+    if mean.size == 3:
+        assert k[2] == 0
+        w = np.linalg.solve(s, cov[:2, 2])
+        cond_sd = math.sqrt(cov[2, 2] - cov[:2, 2] @ w)
+
+    def f(pts):
+        x, jac = to_x(pts)
+        d = x - mean[:2]
+        val = np.exp(log_norm - 0.5 * np.einsum("ij,jk,ik->i", d, prec, d)) * jac
+        val *= x[:, 0] ** k[0] * x[:, 1] ** k[1]
+        if mean.size == 3:
+            m = mean[2] + d @ w
+            val *= ndtr((upper[2] - m) / cond_sd) - ndtr((lower[2] - m) / cond_sd)
+        return val
+
+    return tensor_quad(f, lo, hi, tol=tol).value
+
+
+def _cov(sd, corr):
+    sd = np.asarray(sd, dtype=float)
+    return np.asarray(corr, dtype=float) * np.outer(sd, sd)
 
 
 class TestRectangle:
@@ -74,6 +126,47 @@ class TestRectangleProbability:
                                     n_samples=400_000, seed=17)
         se = math.sqrt(pq * (1.0 - pq) / 400_000)
         assert abs(pq - pmc) <= 4.0 * se
+
+    @pytest.mark.parametrize("lower, upper, rho", [
+        ([0.4, -0.3], [2.0, 1.0], 0.35),            # a bound at the mean on both axes
+        ([-INF, -1.0], [1.2, 0.5], -0.6),           # one infinite side
+        ([-INF, -0.5], [0.9, INF], 0.45),           # two infinite sides
+        ([-INF, -INF], [1.0, -0.2], 0.0),
+        ([-1.0, -2.0], [1.5, 0.3], 0.99),
+        ([0.0, -INF], [INF, 0.7], -0.99),
+        ([4.0, -2.6], [5.8, 1.0], 0.5),             # 8 to 12 sd out on axis 0
+        ([4.0, 3.0], [5.8, INF], -0.3),             # far out on both axes
+    ])
+    def test_bivariate_against_tensor_quadrature(self, lower, upper, rho):
+        mean = np.array([0.4, -0.3])
+        cov = _cov([0.45, 1.1], [[1.0, rho], [rho, 1.0]])
+        got = rectangle_probability(Rectangle(lower, upper), mean, np.linalg.inv(cov))
+        ref = _normal_box_oracle((0, 0), lower, upper, mean, cov)
+        assert abs(got - ref) <= 1e-12
+
+    @pytest.mark.parametrize("rho", [-0.8, 0.0, 0.5])
+    def test_bivariate_orthant_at_the_mean(self, rho):
+        # P(X > m1, Y > m2) = 1/4 + asin(rho) / (2 pi)
+        prec = np.linalg.inv(_cov([2.0, 0.5], [[1.0, rho], [rho, 1.0]]))
+        got = rectangle_probability(Rectangle([1.0, -2.0], [INF, INF]), [1.0, -2.0], prec)
+        assert abs(got - (0.25 + math.asin(rho) / (2.0 * math.pi))) <= 1e-15
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([0.2, -0.1, 0.3], [1.5, 1.4, 2.0]),        # a bound at the mean on every axis
+        ([-INF, -1.0, -0.5], [1.0, 0.8, 1.6]),      # one infinite side
+        ([-0.6, -INF, -0.5], [INF, 0.8, 1.1]),      # two infinite sides
+        ([-INF, -INF, -1.0], [0.5, 0.0, INF]),
+        ([2.6, -INF, 3.3], [3.8, 1.0, 4.5]),        # 8 to 12 sd out on two axes
+    ])
+    @pytest.mark.parametrize("rho", [0.3, 0.99, -0.99])
+    def test_trivariate_against_tensor_quadrature(self, lower, upper, rho):
+        mean = np.array([0.2, -0.1, 0.3])
+        r12 = math.copysign(0.1, rho)
+        cov = _cov([0.3, 0.8, 0.35], [[1.0, rho, 0.2], [rho, 1.0, r12], [0.2, r12, 1.0]])
+        got = rectangle_probability(Rectangle(lower, upper), mean, np.linalg.inv(cov),
+                                    tol=1e-13)
+        ref = _normal_box_oracle((0, 0, 0), lower, upper, mean, cov)
+        assert abs(got - ref) <= 1e-12
 
     def test_high_dimension_needs_mc(self):
         r = Rectangle([-1.0] * 4, [1.0] * 4)
@@ -150,6 +243,21 @@ class TestTruncNormal:
             ref = tensor_quad(make_f(k), r.lower, r.upper, tol=1e-11).value
             assert abs(got - ref) <= 1e-8 * max(1.0, abs(ref)), k
 
+    def test_trivariate_against_tensor_quadrature(self):
+        mean = np.array([0.2, -0.3, 0.1])
+        cov = _cov([0.9, 1.2, 0.7], [[1.0, 0.4, -0.3], [0.4, 1.0, 0.25], [-0.3, 0.25, 1.0]])
+        lower, upper = np.array([-1.0, -INF, -0.5]), np.array([1.2, 0.8, INF])
+        prec = np.linalg.inv(cov)
+        r = Rectangle(lower, upper)
+        # the oracle integrates the last axis exactly, so the axis that carries
+        # the order is moved to the front
+        for k, perm in [((0, 0, 0), [0, 1, 2]), ((1, 0, 0), [0, 1, 2]),
+                        ((0, 1, 0), [0, 1, 2]), ((0, 0, 1), [2, 0, 1])]:
+            got = trunc_normal_moment(k, r, mean, prec)
+            ref = _normal_box_oracle([k[i] for i in perm], lower[perm], upper[perm],
+                                     mean[perm], cov[np.ix_(perm, perm)], tol=1e-12)
+            assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref)), k
+
     def test_symmetric_box_kills_odd_moments(self):
         got = trunc_normal_moment((1, 0), Rectangle([-2.0, -1.0], [2.0, 1.0]),
                                   [0.0, 0.0], np.eye(2))
@@ -158,6 +266,18 @@ class TestTruncNormal:
     def test_dimension_check(self):
         with pytest.raises(DomainError, match="dimensions"):
             trunc_normal_moment((1, 1), Rectangle([0.0], [1.0]), [0.0], [[1.0]])
+
+
+def _t_box_oracle(k, r: Rectangle, p: TParamsND, tol: float, max_refine: int) -> float:
+    """Integral of x^k times the t density over a box by ``tensor_quad``."""
+    lo, hi, to_x = _tangent_box(r.lower, r.upper, p.mu,
+                                np.sqrt(np.diag(p.precision_inverse())))
+
+    def f(pts):
+        x, jac = to_x(pts)
+        return np.prod(x ** np.asarray(k, dtype=float), axis=1) * t_pdf_nd(x, p) * jac
+
+    return tensor_quad(f, lo, hi, tol=tol, max_refine=max_refine).value
 
 
 class TestTruncT:
@@ -201,6 +321,25 @@ class TestTruncT:
             got = trunc_t_moment(k, r, p)
             est = mc_moment_nd(k, p, rect=r, n_samples=400_000, seed=5)
             assert abs(got.value - est.value) <= 4.0 * est.std_error, k
+
+    def test_bivariate_error_bound_holds(self):
+        # the reported quad_abs_error bounds the whole error: the rectangle
+        # probabilities inside the mixture are exact in 2-D
+        p = TParamsND([0.3, -0.2], [[1.3, 0.5], [0.5, 0.9]], 9.0)
+        r = Rectangle([-0.4, -1.0], [INF, 1.2])
+        for k in [(0, 0), (1, 1), (2, 1)]:
+            got = trunc_t_moment(k, r, p)
+            ref = _t_box_oracle(k, r, p, tol=1e-13, max_refine=6)
+            assert abs(got.value - ref) <= got.diagnostics["quad_abs_error"] + 1e-12, k
+
+    def test_trivariate_against_tensor_quadrature(self):
+        p = TParamsND([0.2, -0.1, 0.3], [[1.2, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.9]],
+                      8.0)
+        r = Rectangle([-1.0, -0.5, -1.2], [1.5, 1.0, 0.8])
+        for k in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]:
+            got = trunc_t_moment(k, r, p)
+            ref = _t_box_oracle(k, r, p, tol=1e-10, max_refine=2)
+            assert abs(got.value - ref) <= 1e-9 * max(1.0, abs(ref)), k
 
     def test_undefined_order(self):
         p = TParamsND([0.0], [[1.0]], 3.0)
