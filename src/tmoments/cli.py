@@ -10,6 +10,10 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or malformed input,
 non-convergence, overflow (a value beyond the double range) or failed
 estimation. The oracle seed is taken from --seed, else the TMOMENT_SEED
 environment variable, else 12345.
+
+Each subcommand imports only the modules it needs: one-d and multi run on
+numpy alone, while truncated, oracle and verify load SciPy (through the
+truncated and oracle modules) when their request arrives.
 """
 
 from __future__ import annotations
@@ -19,15 +23,17 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import t1d, tnd, truncated
+from . import t1d
 from .errors import DomainError, EstimationError, NonConvergenceError, UndefinedMomentError
-from .oracle import DEFAULT_SEED, KINDS, mc_moment_nd, quad_moment_1d
-from .t1d import MomentResult, TParams1D
-from .tnd import TParamsND
-from .truncated import Rectangle
+from .t1d import DEFAULT_SEED, KINDS, MomentResult, TParams1D
+
+if TYPE_CHECKING:
+    from .tnd import TParamsND
+    from .truncated import Rectangle
 
 SCHEMA_VERSION = "response-v1"
 
@@ -45,10 +51,8 @@ def _format_float(x: float) -> str:
 def _to_json(obj) -> str:
     if obj is None:
         return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, (int, np.integer)):
@@ -95,6 +99,10 @@ def _from_result(r: MomentResult) -> dict:
                      formula=r.formula, mode=r.mode, diagnostics=dict(r.diagnostics))
 
 
+def _answer(r: MomentResult) -> tuple[dict, int]:
+    return _from_result(r), (0 if r.defined else 3)
+
+
 def _parse_floats(text, what: str) -> list[float]:
     if isinstance(text, (int, float)):
         return [float(text)]
@@ -102,6 +110,13 @@ def _parse_floats(text, what: str) -> list[float]:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as e:
         raise _UsageError(f"could not parse {what} {text!r}: {e}") from None
+
+
+def _parse_scalar(text, what: str) -> float:
+    vals = _parse_floats(text, what)
+    if len(vals) != 1:
+        raise _UsageError(f"expected a single {what} entry for a one-dimensional request")
+    return vals[0]
 
 
 def _parse_orders(text: str) -> list[int]:
@@ -174,12 +189,7 @@ def _params_1d(args) -> TParams1D:
         sigma = t1d.precision_from_scale(args.scale)
     if sigma is None:
         sigma = 1.0
-    mu = args.mu if args.mu is not None else 0.0
-    if not isinstance(mu, (int, float)):
-        vals = _parse_floats(mu, "--mu")
-        if len(vals) != 1:
-            raise _UsageError("expected a single --mu entry for a one-dimensional request")
-        mu = vals[0]
+    mu = _parse_scalar(args.mu, "--mu") if args.mu is not None else 0.0
     try:
         return TParams1D(mu, sigma, args.nu)
     except DomainError as e:
@@ -187,6 +197,8 @@ def _params_1d(args) -> TParams1D:
 
 
 def _params_nd(args, dim: int) -> TParamsND:
+    from .tnd import TParamsND
+
     mu = _parse_floats(args.mu, "--mu") if args.mu is not None else [0.0] * dim
     if len(mu) != dim:
         raise _UsageError(f"--mu has {len(mu)} entries, expected {dim}")
@@ -205,6 +217,8 @@ def _params_nd(args, dim: int) -> TParamsND:
 def _parse_rectangle(args, dim: int) -> Rectangle | None:
     if args.lower is None and args.upper is None:
         return None
+    from .truncated import Rectangle
+
     lower = _parse_floats(args.lower, "--lower") if args.lower is not None else [-math.inf] * dim
     upper = _parse_floats(args.upper, "--upper") if args.upper is not None else [math.inf] * dim
     if len(lower) != dim or len(upper) != dim:
@@ -215,49 +229,61 @@ def _parse_rectangle(args, dim: int) -> Rectangle | None:
         raise _UsageError(str(e)) from None
 
 
+def _one_d_moment(kind: str, k: int, p: TParams1D, via_central: bool = False) -> MomentResult:
+    if via_central:
+        return t1d.raw_from_central(k, p)
+    if kind == "raw":
+        return t1d.raw_moment(k, p)
+    if kind == "central":
+        return t1d.central_moment(k, p)
+    if kind == "abs":
+        return t1d.abs_moment(k, p)
+    return t1d.central_abs_moment(k, p)
+
+
+def _multi_moment(orders, p: TParamsND, mode: str, kind: str = "raw") -> MomentResult:
+    from . import tnd
+
+    if kind == "abs":
+        if np.any(p.mu != 0) or not np.array_equal(p.sigma_mat, np.eye(p.dim)):
+            raise _UsageError("--kind abs has a closed form only for mu = 0 and the "
+                              "identity matrix")
+        return tnd.std_abs_moment_nd(orders, p.nu)
+    if mode == "literal":
+        return tnd.raw_moment_nd_literal(orders, p)
+    return tnd.raw_moment_nd(orders, p)
+
+
+def _truncated_moment(orders, rect: Rectangle | None, p: TParamsND, mode: str,
+                      tol: float) -> MomentResult:
+    """The truncated moment over ``rect``; None means the whole space."""
+    from . import truncated
+
+    if rect is None:
+        rect = truncated.Rectangle.full_space(p.dim)
+    if mode == "literal":
+        return truncated.trunc_t_moment_literal(orders, rect, p, tol=tol)
+    return truncated.trunc_t_moment(orders, rect, p, tol=tol)
+
+
 def _cmd_one_d(args) -> tuple[dict, int]:
     p = _params_1d(args)
-    if args.via_central:
-        if args.kind != "raw":
-            raise _UsageError("--via-central applies only to --kind raw")
-        result = t1d.raw_from_central(args.k, p)
-    elif args.kind == "raw":
-        result = t1d.raw_moment(args.k, p)
-    elif args.kind == "central":
-        result = t1d.central_moment(args.k, p)
-    elif args.kind == "abs":
-        result = t1d.abs_moment(args.k, p)
-    else:
-        result = t1d.central_abs_moment(args.k, p)
-    return _from_result(result), (0 if result.defined else 3)
+    if args.via_central and args.kind != "raw":
+        raise _UsageError("--via-central applies only to --kind raw")
+    return _answer(_one_d_moment(args.kind, args.k, p, args.via_central))
 
 
 def _cmd_multi(args) -> tuple[dict, int]:
     orders = _parse_orders(args.k)
     p = _params_nd(args, len(orders))
-    if args.kind == "abs":
-        if np.any(p.mu != 0) or not np.array_equal(p.sigma_mat, np.eye(p.dim)):
-            raise _UsageError("--kind abs has a closed form only for mu = 0 and the "
-                              "identity matrix")
-        result = tnd.std_abs_moment_nd(orders, p.nu)
-    elif args.mode == "literal":
-        result = tnd.raw_moment_nd_literal(orders, p)
-    else:
-        result = tnd.raw_moment_nd(orders, p)
-    return _from_result(result), (0 if result.defined else 3)
+    return _answer(_multi_moment(orders, p, args.mode, args.kind))
 
 
 def _cmd_truncated(args) -> tuple[dict, int]:
     orders = _parse_orders(args.k)
     p = _params_nd(args, len(orders))
     rect = _parse_rectangle(args, p.dim)
-    if rect is None:
-        rect = Rectangle.full_space(p.dim)
-    if args.mode == "literal":
-        result = truncated.trunc_t_moment_literal(orders, rect, p, tol=args.tol)
-    else:
-        result = truncated.trunc_t_moment(orders, rect, p, tol=args.tol)
-    return _from_result(result), (0 if result.defined else 3)
+    return _answer(_truncated_moment(orders, rect, p, args.mode, args.tol))
 
 
 def _is_multivariate(args) -> bool:
@@ -273,15 +299,16 @@ def _oracle_estimate(args, orders, seed) -> tuple[float, dict, str]:
     truncated requests integrate the defining integral; everything else is
     seeded Monte Carlo.
     """
+    from .oracle import mc_moment_nd, quad_moment_1d
+    from .tnd import TParamsND
+
     multivariate = _is_multivariate(args)
     if multivariate and args.method == "quad":
         raise _UsageError("the quadrature oracle supports one-dimensional requests only")
     if not multivariate and args.method != "mc":
         p1 = _params_1d(args)
-        bounds = (-math.inf, math.inf)
-        if args.lower is not None or args.upper is not None:
-            bounds = (float(args.lower) if args.lower is not None else -math.inf,
-                      float(args.upper) if args.upper is not None else math.inf)
+        bounds = (_parse_scalar(args.lower, "--lower") if args.lower is not None else -math.inf,
+                  _parse_scalar(args.upper, "--upper") if args.upper is not None else math.inf)
         res = quad_moment_1d(args.kind, orders[0], p1, bounds=bounds, tol=args.tol)
         diag = {"method": "quad", "est_abs_error": res.est_abs_error,
                 "evaluations": res.evaluations}
@@ -307,35 +334,23 @@ def _cmd_oracle(args) -> tuple[dict, int]:
     return _response(value, formula=tag, mode="oracle", diagnostics=diag), 0
 
 
-def _formula_result(args, orders) -> MomentResult:
-    kind = args.kind
-    if _is_multivariate(args) or args.lower is not None or args.upper is not None \
-            or args.sigma_mat is not None:
-        p = _params_nd(args, len(orders))
-        rect = _parse_rectangle(args, p.dim)
-        if rect is not None:
-            if kind != "raw":
-                raise _UsageError("truncated moments are raw moments; use --kind raw")
-            if args.mode == "literal":
-                return truncated.trunc_t_moment_literal(orders, rect, p, tol=args.tol)
-            return truncated.trunc_t_moment(orders, rect, p, tol=args.tol)
-        if args.mode == "literal":
-            return tnd.raw_moment_nd_literal(orders, p)
-        return tnd.raw_moment_nd(orders, p)
-    p1 = _params_1d(args)
-    if kind == "raw":
-        return t1d.raw_moment(orders[0], p1)
-    if kind == "central":
-        return t1d.central_moment(orders[0], p1)
-    if kind == "abs":
-        return t1d.abs_moment(orders[0], p1)
-    return t1d.central_abs_moment(orders[0], p1)
+def _verify_formula(args, orders) -> MomentResult:
+    """The closed form verify checks, from the routine of the matching subcommand."""
+    if not (_is_multivariate(args) or args.lower is not None or args.upper is not None):
+        return _one_d_moment(args.kind, orders[0], _params_1d(args))
+    p = _params_nd(args, len(orders))
+    rect = _parse_rectangle(args, p.dim)
+    if rect is None:
+        return _multi_moment(orders, p, args.mode)
+    if args.kind != "raw":
+        raise _UsageError("truncated moments are raw moments; use --kind raw")
+    return _truncated_moment(orders, rect, p, args.mode, args.tol)
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
     orders = _parse_orders(args.k)
     seed = _resolve_seed(args)
-    formula = _formula_result(args, orders)
+    formula = _verify_formula(args, orders)
     if not formula.defined:
         return _from_result(formula), 3
     oracle_value, diag, _ = _oracle_estimate(args, orders, seed)
@@ -411,14 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_oracle_args(sub, with_mode: bool):
         sub.add_argument("--kind", choices=KINDS, default="raw")
         sub.add_argument("--k", required=True, help="order or comma-separated orders")
-        sub.add_argument("--mu", help="location (scalar for 1-D, comma-separated otherwise)")
         sub.add_argument("--sigma", type=float, default=None)
         sub.add_argument("--scale", type=float, default=None)
-        sub.add_argument("--sigma-mat")
-        sub.add_argument("--sigma-file")
-        sub.add_argument("--matrix-convention", choices=("precision", "scale"),
-                         default="precision")
-        sub.add_argument("--nu", type=float, required=True)
+        _add_nd_params(sub)
         sub.add_argument("--lower", help="truncation lower bound(s)")
         sub.add_argument("--upper", help="truncation upper bound(s)")
         sub.add_argument("--method", choices=("quad", "mc"), default=None)

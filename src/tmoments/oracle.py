@@ -21,14 +21,8 @@ from scipy.linalg import solve_triangular
 
 from .errors import DomainError, EstimationError, NonConvergenceError
 from .normal_moments import GammaParams
-from .t1d import TParams1D, t_pdf
+from .t1d import DEFAULT_SEED, KINDS, TParams1D, t_pdf
 from .tnd import MultiIndex, TParamsND, t_pdf_nd
-
-#: Seed used when the caller does not supply one (the CLI also honors TMOMENT_SEED).
-DEFAULT_SEED = 12345
-
-#: Moment kinds accepted by :func:`quad_moment_1d` and the CLI.
-KINDS = ("raw", "central", "abs", "central-abs")
 
 _REL_FLOOR = 1e-11
 

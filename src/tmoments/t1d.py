@@ -24,6 +24,14 @@ from .specfun import gamma_ratio, hyp2f1
 
 _SQRT_PI = math.sqrt(math.pi)
 
+#: Moment kinds of the univariate closed forms, the 1-D oracle and the CLI.
+KINDS = ("raw", "central", "abs", "central-abs")
+
+#: Seed the oracles use when the caller does not supply one (the CLI also
+#: honors TMOMENT_SEED). Kept here, beside KINDS, so the CLI reads both
+#: without loading the SciPy-based oracle module.
+DEFAULT_SEED = 12345
+
 
 @dataclass(frozen=True)
 class TParams1D:

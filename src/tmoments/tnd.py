@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DomainError, UndefinedMomentError
 from .normal_moments import _check_order
@@ -52,6 +51,12 @@ def _check_spd(mat, what: str) -> np.ndarray:
     if eigs[0] <= 0:
         raise DomainError(f"{what} is not positive definite (smallest eigenvalue {eigs[0]:.3e})")
     return mat
+
+
+def _spd_inverse(mat: np.ndarray) -> np.ndarray:
+    """Inverse of an SPD matrix from its Cholesky factor L, as L^(-T) L^(-1)."""
+    linv = np.linalg.inv(np.linalg.cholesky(mat))
+    return linv.T @ linv
 
 
 @dataclass(frozen=True)
@@ -124,8 +129,7 @@ class TParamsND:
 
     def precision_inverse(self) -> np.ndarray:
         """Sigma^(-1) through a Cholesky factorization (the covariance up to nu/(nu-2))."""
-        factor = cho_factor(self.sigma_mat, lower=True)
-        return cho_solve(factor, np.eye(self.dim))
+        return _spd_inverse(self.sigma_mat)
 
 
 @dataclass(frozen=True, eq=False)

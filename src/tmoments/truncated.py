@@ -32,14 +32,14 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.special import owens_t
 
 from .errors import DomainError
 from .normal_moments import GammaParams
-from .oracle import DEFAULT_SEED, QuadResult, _run_quad, gamma_pdf, normal_pdf
-from .t1d import MomentResult, _undefined
-from .tnd import MultiIndex, TParamsND, _check_spd
+from .oracle import QuadResult, _run_quad, gamma_pdf, normal_pdf
+from .t1d import DEFAULT_SEED, MomentResult, _undefined
+from .tnd import MultiIndex, TParamsND, _check_spd, _spd_inverse
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -297,7 +297,7 @@ def rectangle_probability(r: Rectangle, mean, precision_scaled, *, tol: float = 
         x = mean + solve_triangular(chol, z.T, lower=True, trans="T").T
         inside = np.all((x >= r.lower) & (x <= r.upper), axis=1)
         return float(inside.mean())
-    cov = cho_solve(cho_factor(prec, lower=True), np.eye(mean.size))
+    cov = _spd_inverse(prec)
     return _rect_prob_cov(r.lower, r.upper, mean, cov, tol)
 
 
@@ -310,7 +310,7 @@ def trunc_normal_moment(k, r: Rectangle, mean, precision_scaled) -> float:
     mean = np.asarray(mean, dtype=float)
     k = _check_box("trunc_normal_moment", k, r, mean.size)
     prec = _check_spd(precision_scaled, "trunc_normal_moment: matrix")
-    cov = cho_solve(cho_factor(prec, lower=True), np.eye(mean.size))
+    cov = _spd_inverse(prec)
     mass = partial(_rect_prob_cov, tol=1e-10)
     return _Recursion(r.lower, r.upper, mean, cov, mass).moment(k.k)
 

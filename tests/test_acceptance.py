@@ -7,9 +7,6 @@ Tolerances here are contractual; do not loosen them. Each test prints
 import contextlib
 import json
 import math
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +15,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from conftest import run_cli
 from tmoments.oracle import mixture_pdf_1d, quad_moment_1d, sample_t_nd
 from tmoments.specfun import MAX_SERIES_TERMS, _series_2f1, hyp2f1
 from tmoments.t1d import (TParams1D, abs_moment, abs_moment_standard, central_abs_moment,
@@ -233,15 +231,6 @@ def test_criterion_9_hypergeometric_evaluations(capsys):
                 direct = _series_2f1(a, b, c, float(z), MAX_SERIES_TERMS)[0]
                 val = hyp2f1(a, b, c, float(z)).value
                 assert abs(val - direct) <= 1e-10 * max(1.0, abs(direct))
-
-
-def run_cli(*argv, env_extra=None):
-    env = os.environ.copy()
-    env.pop("TMOMENT_SEED", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "tmoments", *argv],
-                          capture_output=True, text=True, env=env)
 
 
 def test_criterion_10_cli_contract(capsys):

@@ -2,15 +2,13 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+from conftest import run_cli
 from tmoments.t1d import TParams1D, central_moment
 from tmoments.tnd import TParamsND, raw_moment_nd
 from tmoments.truncated import Rectangle, trunc_t_moment
@@ -19,15 +17,6 @@ SCHEMA = json.loads((Path(__file__).resolve().parent.parent
                      / "schemas" / "response-v1.json").read_text())
 
 RESPONSE_KEYS = ["schema", "value", "defined", "reason", "formula", "mode", "diagnostics"]
-
-
-def run_cli(*argv, env_extra=None):
-    env = os.environ.copy()
-    env.pop("TMOMENT_SEED", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "tmoments", *argv],
-                          capture_output=True, text=True, env=env)
 
 
 def run_json(*argv, expect_code=0, env_extra=None):
@@ -119,6 +108,14 @@ class TestExitCodes:
         proc = run_cli("oracle", "--k", "1,1", "--nu", "9", "--method", "quad")
         assert proc.returncode == 2
         assert "one-dimensional" in proc.stderr
+
+    @pytest.mark.parametrize("bound", ["--lower=abc", "--lower=0,1", "--upper=x",
+                                       "--upper=1,2"])
+    def test_bad_quad_oracle_bound_is_two(self, bound):
+        proc = run_cli("oracle", "--k", "2", "--nu", "10", bound)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
     def test_mc_oracle_rejects_non_raw_kind(self):
         proc = run_cli("oracle", "--kind", "central", "--k", "2", "--nu", "9",
@@ -309,6 +306,13 @@ class TestComputedValues:
                            "--sigma-mat", "[[2.0,0.3],[0.3,1.5]]", "--samples",
                            "200000", "--seed", "4", "--tol", "1e-6")
         assert payload["diagnostics"]["method"] == "mc"
+        assert payload["diagnostics"]["passed"] is True
+
+    def test_verify_literal_mode_passes(self):
+        # Literal values are numpy floats; the pass flag must still serialize.
+        payload = run_json("verify", "--k", "1,1", "--mode", "literal", "--nu", "9",
+                           "--samples", "20000", "--seed", "5")
+        assert payload["mode"] == "literal"
         assert payload["diagnostics"]["passed"] is True
 
     def test_verify_truncated_quad(self):

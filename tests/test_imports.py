@@ -1,0 +1,101 @@
+"""Import budget and the lazy package namespace.
+
+The closed-form paths must not pay for SciPy: ``import tmoments`` and the
+``one-d`` and ``multi`` subcommands load no ``scipy`` module. The checks run
+in fresh interpreters and compare module sets, so they do not depend on time.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import tmoments
+
+_REPORT = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy" or m == "tmoments.oracle")))
+"""
+
+_RUN_CLI = """
+import contextlib, io
+from tmoments.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({argv!r}) == 0
+"""
+
+
+def fresh(code: str):
+    """The JSON that ``code`` prints in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    return json.loads(proc.stdout)
+
+
+def heavy_modules_after(code: str) -> list[str]:
+    """The scipy* modules and tmoments.oracle loaded after running ``code``."""
+    return fresh(code + _REPORT)
+
+
+class TestImportBudget:
+    def test_import_tmoments_loads_no_scipy(self):
+        assert heavy_modules_after("import tmoments") == []
+
+    @pytest.mark.parametrize("argv", [
+        ["one-d", "--kind", "central", "--k", "3", "--mu", "1.5", "--nu", "7"],
+        ["multi", "--k", "2,1", "--mu", "0.2,-0.1",
+         "--sigma-mat", "[[1.2,0.4],[0.4,0.9]]", "--nu", "9"],
+        ["multi", "--k", "2,2", "--mode", "literal", "--nu", "9"],
+    ])
+    def test_closed_form_subcommands_load_no_scipy(self, argv):
+        assert heavy_modules_after(_RUN_CLI.format(argv=argv)) == []
+
+    def test_truncated_subcommand_loads_scipy(self):
+        # The probe must see SciPy where it is needed, or the checks above prove nothing.
+        argv = ["truncated", "--k", "1", "--lower", "0", "--nu", "5"]
+        loaded = heavy_modules_after(_RUN_CLI.format(argv=argv))
+        assert "scipy.integrate" in loaded and "tmoments.oracle" in loaded
+
+
+class TestLazyNamespace:
+    def test_public_names_resolve_to_their_definitions(self):
+        for name in tmoments.__all__:
+            obj = getattr(tmoments, name)
+            if name == "__version__":
+                continue
+            assert obj.__module__.startswith("tmoments."), name
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+    def test_resolved_names_are_cached(self):
+        fn = tmoments.trunc_t_moment
+        assert vars(tmoments)["trunc_t_moment"] is fn
+
+    def test_star_import_binds_all(self):
+        namespace = {}
+        exec("from tmoments import *", namespace)
+        for name in tmoments.__all__:
+            assert namespace[name] is getattr(tmoments, name), name
+
+    def test_dir_lists_unloaded_names(self):
+        missing = fresh("import json, tmoments\n"
+                        "print(json.dumps(sorted(set(tmoments.__all__) - set(dir(tmoments)))))")
+        assert missing == []
+
+    def test_submodules_resolve_as_attributes(self):
+        name = fresh("import json, tmoments\n"
+                     "print(json.dumps(tmoments.truncated.Rectangle.__qualname__))")
+        assert name == "Rectangle"
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            tmoments.no_such_name
+        assert not hasattr(tmoments, "cli_main")
+
+    def test_oracle_reexports_constants(self):
+        from tmoments import t1d
+        from tmoments.oracle import DEFAULT_SEED, KINDS
+
+        assert KINDS is t1d.KINDS
+        assert DEFAULT_SEED == t1d.DEFAULT_SEED == 12345
