@@ -338,12 +338,12 @@ def _verify_formula(args, orders) -> MomentResult:
     """The closed form verify checks, from the routine of the matching subcommand."""
     if not (_is_multivariate(args) or args.lower is not None or args.upper is not None):
         return _one_d_moment(args.kind, orders[0], _params_1d(args))
+    if args.kind != "raw":
+        raise _UsageError("multivariate and truncated moments are raw moments; use --kind raw")
     p = _params_nd(args, len(orders))
     rect = _parse_rectangle(args, p.dim)
     if rect is None:
         return _multi_moment(orders, p, args.mode)
-    if args.kind != "raw":
-        raise _UsageError("truncated moments are raw moments; use --kind raw")
     return _truncated_moment(orders, rect, p, args.mode, args.tol)
 
 

@@ -2,10 +2,12 @@
 
 Provides log-gamma, gamma ratios, rising factorials and the two hypergeometric
 series 1F1 and 2F1, restricted to the argument ranges the moment formulas
-produce: real parameters, real argument with z <= 0 or |z| < 1. Terminating
-series are summed exactly (compensated summation); non-terminating series are
-first mapped to positive-term series (Kummer transform for 1F1, Pfaff transform
-for 2F1) so no cancellation occurs.
+produce: real parameters, real argument with z <= 0 or |z| < 1. Both series
+run through one term loop; 1F1 is the case without a second upper parameter.
+Terminating series are summed exactly (compensated summation); non-terminating
+series are first mapped to positive-term series (Kummer transform for 1F1,
+Pfaff transform for 2F1) so no cancellation occurs. A term that is not a
+finite double raises OverflowError rather than poisoning the sum.
 """
 
 from __future__ import annotations
@@ -91,61 +93,40 @@ def _pole_before_termination(c: float, n_last: int) -> bool:
     return _is_nonpositive_int(c) and -c <= n_last - 1
 
 
-def _sum_terminating(terms_iter) -> tuple[float, int]:
-    terms = list(terms_iter)
-    return math.fsum(terms), len(terms)
+def _series_name(a: float, b: float | None, c: float, z: float) -> str:
+    return f"1F1({a}, {c}; {z})" if b is None else f"2F1({a}, {b}; {c}; {z})"
 
 
-def _terminating_terms_1f1(a: float, c: float, z: float, n_last: int):
-    term = 1.0
-    yield term
-    for n in range(n_last):
-        term *= (a + n) / (c + n) * z / (n + 1)
-        yield term
+def _series(a: float, b: float | None, c: float, z: float, limit: int,
+            terminating: bool = False) -> tuple[float, int, float]:
+    """Taylor sum of 2F1(a, b; c; z), or of 1F1(a; c; z) when ``b`` is None.
 
-
-def _terminating_terms_2f1(a: float, b: float, c: float, z: float, n_last: int):
-    term = 1.0
-    yield term
-    for n in range(n_last):
-        term *= (a + n) * (b + n) / (c + n) * z / (n + 1)
-        yield term
-
-
-def _series_1f1(a: float, c: float, z: float, max_terms: int) -> tuple[float, int, float]:
-    """Direct Taylor sum of 1F1; returns (value, terms_used, est_error)."""
+    A terminating series sums all ``limit`` + 1 terms, zero terms included,
+    with error 0. Otherwise summing stops at the first term that is zero or
+    negligible against the running sum, and that term is the error estimate;
+    ``limit`` terms without stopping raise NonConvergenceError. A term that is
+    not a finite double raises OverflowError. Returns
+    (value, terms_used, est_error).
+    """
     terms = [1.0]
     term = 1.0
     running = 1.0
-    for n in range(max_terms):
-        term *= (a + n) / (c + n) * z / (n + 1)
-        if term == 0.0:
-            return math.fsum(terms), len(terms), 0.0
-        if abs(term) <= _STOP_EPS * abs(running):
-            return math.fsum(terms), len(terms), abs(term)
+    for n in range(limit):
+        term *= (a + n if b is None else (a + n) * (b + n)) / (c + n) * z / (n + 1)
+        if not math.isfinite(term):
+            raise OverflowError(f"{_series_name(a, b, c, z)}: term {n + 1} is not a finite double")
+        if not terminating:
+            if term == 0.0:
+                return math.fsum(terms), len(terms), 0.0
+            if abs(term) <= _STOP_EPS * abs(running):
+                return math.fsum(terms), len(terms), abs(term)
+            running += term
         terms.append(term)
-        running += term
+    if terminating:
+        return math.fsum(terms), len(terms), 0.0
     raise NonConvergenceError(
-        f"1F1({a}, {c}; {z}) did not converge within {max_terms} terms",
-        value=math.fsum(terms), est_error=abs(term), iterations=max_terms)
-
-
-def _series_2f1(a: float, b: float, c: float, z: float, max_terms: int) -> tuple[float, int, float]:
-    """Direct Taylor sum of 2F1 for |z| < 1; returns (value, terms_used, est_error)."""
-    terms = [1.0]
-    term = 1.0
-    running = 1.0
-    for n in range(max_terms):
-        term *= (a + n) * (b + n) / (c + n) * z / (n + 1)
-        if term == 0.0:
-            return math.fsum(terms), len(terms), 0.0
-        if abs(term) <= _STOP_EPS * abs(running):
-            return math.fsum(terms), len(terms), abs(term)
-        terms.append(term)
-        running += term
-    raise NonConvergenceError(
-        f"2F1({a}, {b}; {c}; {z}) did not converge within {max_terms} terms",
-        value=math.fsum(terms), est_error=abs(term), iterations=max_terms)
+        f"{_series_name(a, b, c, z)} did not converge within {limit} terms",
+        value=math.fsum(terms), est_error=abs(term), iterations=limit)
 
 
 def hyp1f1(a: float, c: float, z: float, *, max_terms: int = MAX_SERIES_TERMS) -> HypergeomEval:
@@ -160,17 +141,17 @@ def hyp1f1(a: float, c: float, z: float, *, max_terms: int = MAX_SERIES_TERMS) -
         if _pole_before_termination(c, n_last):
             raise DomainError(
                 f"hyp1f1: parameter c = {c!r} is a nonpositive integer reached before termination")
-        value, used = _sum_terminating(_terminating_terms_1f1(a, c, z, n_last))
+        value, used, _ = _series(a, None, c, z, n_last, terminating=True)
         return HypergeomEval(value=value, a=a, c=c, z=z, terminating=True,
                              terms_used=used, est_error=0.0)
     if _is_nonpositive_int(c):
         raise DomainError(f"hyp1f1: parameter c = {c!r} is a nonpositive integer (series pole)")
     if z < 0:
-        inner, used, err = _series_1f1(c - a, c, -z, max_terms)
+        inner, used, err = _series(c - a, None, c, -z, max_terms)
         scale = math.exp(z)
         return HypergeomEval(value=scale * inner, a=a, c=c, z=z, terminating=False,
                              terms_used=used, est_error=scale * err)
-    value, used, err = _series_1f1(a, c, z, max_terms)
+    value, used, err = _series(a, None, c, z, max_terms)
     return HypergeomEval(value=value, a=a, c=c, z=z, terminating=False,
                          terms_used=used, est_error=err)
 
@@ -191,7 +172,7 @@ def hyp2f1(a: float, b: float, c: float, z: float, *,
         if _pole_before_termination(c, n_last):
             raise DomainError(
                 f"hyp2f1: parameter c = {c!r} is a nonpositive integer reached before termination")
-        value, used = _sum_terminating(_terminating_terms_2f1(a, b, c, z, n_last))
+        value, used, _ = _series(a, b, c, z, n_last, terminating=True)
         return HypergeomEval(value=value, a=a, c=c, z=z, b=b, terminating=True,
                              terms_used=used, est_error=0.0)
     if _is_nonpositive_int(c):
@@ -201,10 +182,10 @@ def hyp2f1(a: float, b: float, c: float, z: float, *,
                              terms_used=1, est_error=0.0)
     if z < 0:
         w = z / (z - 1.0)
-        inner, used, err = _series_2f1(a, c - b, c, w, max_terms)
+        inner, used, err = _series(a, c - b, c, w, max_terms)
         scale = (1.0 - z) ** (-a)
         return HypergeomEval(value=scale * inner, a=a, c=c, z=z, b=b, terminating=False,
                              terms_used=used, est_error=scale * err)
-    value, used, err = _series_2f1(a, b, c, z, max_terms)
+    value, used, err = _series(a, b, c, z, max_terms)
     return HypergeomEval(value=value, a=a, c=c, z=z, b=b, terminating=False,
                          terms_used=used, est_error=err)

@@ -97,12 +97,13 @@ def _undefined(formula: str, mode: str = "closed-form") -> MomentResult:
                         formula=formula, mode=mode)
 
 
-def _order_gate(k: float, nu: float, formula: str) -> MomentResult | None:
+def _order_gate(k: float, nu: float, formula: str,
+                mode: str = "closed-form") -> MomentResult | None:
     """Common existence handling: order 0 is 1, order >= nu is undefined."""
     if k == 0:
-        return MomentResult(1.0, formula=formula)
+        return MomentResult(1.0, formula=formula, mode=mode)
     if k >= nu:
-        return _undefined(formula)
+        return _undefined(formula, mode)
     return None
 
 
@@ -129,23 +130,42 @@ def t_pdf(t, p: TParams1D):
     return float(out) if out.ndim == 0 else out
 
 
+def _abs_scale(k: float, nu: float, sigma: float) -> float:
+    """E|T - mu|^k = (nu/sigma)^(k/2) Gamma((k+1)/2) Gamma((nu-k)/2) / (sqrt(pi) Gamma(nu/2)).
+
+    Every moment kind is built from this scale. For even k = 2q the gamma
+    ratio telescopes into prod_{i=1}^{q} (2i-1) (nu/sigma) / (nu - 2i), which
+    neither cancels nor under- or overflows in a separate power factor; other
+    orders take the log-gamma ratio.
+    """
+    w = nu / sigma
+    if k % 2 == 0:
+        out = 1.0
+        for i in range(1, int(k) // 2 + 1):
+            out *= (2 * i - 1) * w / (nu - 2 * i)
+        return out
+    return (w ** (k / 2.0) * math.gamma((k + 1.0) / 2.0) / _SQRT_PI
+            * gamma_ratio((nu - k) / 2.0, nu / 2.0))
+
+
+def _located_abs(k: float, p: TParams1D, formula: str) -> MomentResult:
+    # E|T|^k = E|T - mu|^k 2F1(-k/2, nu/2 - k/2; 1/2; -mu^2 sigma/nu); the
+    # series terminates for even k and goes through the Pfaff transform otherwise.
+    h = hyp2f1(-k / 2.0, p.nu / 2.0 - k / 2.0, 0.5, -p.mu * p.mu * p.sigma / p.nu)
+    return MomentResult(_abs_scale(k, p.nu, p.sigma) * h.value, formula=formula,
+                        diagnostics=_series_diag(h))
+
+
 def raw_moment_standard(k, nu: float) -> MomentResult:
     """E(T^k) for the standard case mu = 0, sigma = 1.
 
-    Zero for odd k < nu; for even k < nu,
-    Gamma((k+1)/2)/sqrt(pi) * nu^(k/2) / prod_{i=1}^{k/2} (nu/2 - i).
+    Zero for odd k < nu; for even k < nu, prod_{i=1}^{k/2} (2i-1) nu / (nu - 2i).
     """
     k = _check_order(k)
     gate = _order_gate(k, nu, "raw-standard")
     if gate is not None:
         return gate
-    if k % 2 == 1:
-        return MomentResult(0.0, formula="raw-standard")
-    denom = 1.0
-    for i in range(1, k // 2 + 1):
-        denom *= nu / 2.0 - i
-    value = math.gamma((k + 1.0) / 2.0) / _SQRT_PI * nu ** (k / 2.0) / denom
-    return MomentResult(value, formula="raw-standard")
+    return MomentResult(0.0 if k % 2 else _abs_scale(k, nu, 1.0), formula="raw-standard")
 
 
 def abs_moment_standard(k, nu: float, *, allow_noninteger: bool = False) -> MomentResult:
@@ -154,59 +174,51 @@ def abs_moment_standard(k, nu: float, *, allow_noninteger: bool = False) -> Mome
     gate = _order_gate(k, nu, "abs-standard")
     if gate is not None:
         return gate
-    value = (nu ** (k / 2.0) * math.gamma((k + 1.0) / 2.0)
-             * gamma_ratio((nu - k) / 2.0, nu / 2.0) / _SQRT_PI)
-    return MomentResult(value, formula="abs-standard")
+    return MomentResult(_abs_scale(k, nu, 1.0), formula="abs-standard")
 
 
 def raw_moment(k, p: TParams1D) -> MomentResult:
-    """E(T^k) for general (mu, sigma, nu), via terminating 2F1 sums."""
+    """E(T^k) for general (mu, sigma, nu), via terminating 2F1 sums.
+
+    Even orders coincide with :func:`abs_moment`; odd orders carry a factor
+    of mu and use the companion series 2F1((1-k)/2, nu/2 - (k-1)/2; 3/2; z).
+    """
     k = _check_order(k)
     gate = _order_gate(k, p.nu, "raw")
     if gate is not None:
         return gate
-    z = -p.mu * p.mu * p.sigma / p.nu
     if k % 2 == 0:
-        h = hyp2f1(-k / 2.0, p.nu / 2.0 - k / 2.0, 0.5, z)
-        value = ((p.nu / p.sigma) ** (k / 2.0) * math.gamma((k + 1.0) / 2.0) / _SQRT_PI
-                 * gamma_ratio(p.nu / 2.0 - k / 2.0, p.nu / 2.0) * h.value)
-    else:
-        h = hyp2f1((1.0 - k) / 2.0, p.nu / 2.0 - (k - 1.0) / 2.0, 1.5, z)
-        value = (2.0 * p.mu * (p.nu / p.sigma) ** ((k - 1.0) / 2.0)
-                 * math.gamma(k / 2.0 + 1.0) / _SQRT_PI
-                 * gamma_ratio(p.nu / 2.0 - (k - 1.0) / 2.0, p.nu / 2.0) * h.value)
+        return _located_abs(k, p, "raw")
+    z = -p.mu * p.mu * p.sigma / p.nu
+    h = hyp2f1((1.0 - k) / 2.0, p.nu / 2.0 - (k - 1.0) / 2.0, 1.5, z)
+    value = (2.0 * p.mu * (p.nu / p.sigma) ** ((k - 1.0) / 2.0)
+             * math.gamma(k / 2.0 + 1.0) / _SQRT_PI
+             * gamma_ratio(p.nu / 2.0 - (k - 1.0) / 2.0, p.nu / 2.0) * h.value)
     return MomentResult(value, formula="raw", diagnostics=_series_diag(h))
 
 
 def central_moment(k, p: TParams1D) -> MomentResult:
-    """E((T - mu)^k): zero for odd k < nu, a pure gamma-ratio form for even k."""
+    """E((T - mu)^k): zero for odd k < nu, the absolute scale E|T - mu|^k for even k."""
     k = _check_order(k)
     gate = _order_gate(k, p.nu, "central")
     if gate is not None:
         return gate
-    if k % 2 == 1:
-        return MomentResult(0.0, formula="central")
-    value = ((p.nu / p.sigma) ** (k / 2.0) * math.gamma((k + 1.0) / 2.0) / _SQRT_PI
-             * gamma_ratio((p.nu - k) / 2.0, p.nu / 2.0))
-    return MomentResult(value, formula="central")
+    return MomentResult(0.0 if k % 2 else _abs_scale(k, p.nu, p.sigma), formula="central")
 
 
 def abs_moment(k, p: TParams1D, *, allow_noninteger: bool = False) -> MomentResult:
-    """E(|T|^k) for general (mu, sigma, nu).
+    """E(|T|^k) for general (mu, sigma, nu): the central absolute moment times
+    2F1(-k/2, nu/2 - k/2; 1/2; -mu^2 sigma/nu).
 
-    For even integer k this coincides with :func:`raw_moment`; odd (and, with
-    ``allow_noninteger``, real) orders produce a non-terminating 2F1 handled
-    through the Pfaff transform.
+    For even integer k the series terminates and the result is
+    :func:`raw_moment`; odd (and, with ``allow_noninteger``, real) orders
+    produce a non-terminating 2F1 handled through the Pfaff transform.
     """
     k = _check_real_order(k, allow_noninteger)
     gate = _order_gate(k, p.nu, "abs")
     if gate is not None:
         return gate
-    z = -p.mu * p.mu * p.sigma / p.nu
-    h = hyp2f1(-k / 2.0, p.nu / 2.0 - k / 2.0, 0.5, z)
-    value = ((p.nu / p.sigma) ** (k / 2.0) * math.gamma((k + 1.0) / 2.0) / _SQRT_PI
-             * gamma_ratio(p.nu / 2.0 - k / 2.0, p.nu / 2.0) * h.value)
-    return MomentResult(value, formula="abs", diagnostics=_series_diag(h))
+    return _located_abs(k, p, "abs")
 
 
 def central_abs_moment(k, p: TParams1D, *, allow_noninteger: bool = False) -> MomentResult:
@@ -215,9 +227,7 @@ def central_abs_moment(k, p: TParams1D, *, allow_noninteger: bool = False) -> Mo
     gate = _order_gate(k, p.nu, "central-abs")
     if gate is not None:
         return gate
-    value = ((p.nu / p.sigma) ** (k / 2.0) * math.gamma((k + 1.0) / 2.0) / _SQRT_PI
-             * gamma_ratio((p.nu - k) / 2.0, p.nu / 2.0))
-    return MomentResult(value, formula="central-abs")
+    return MomentResult(_abs_scale(k, p.nu, p.sigma), formula="central-abs")
 
 
 def raw_from_central(k, p: TParams1D) -> MomentResult:

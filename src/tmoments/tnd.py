@@ -9,15 +9,15 @@ nu > 2 is nu/(nu-2) Sigma^(-1). Mixed moments E(prod T_i^(k_i)) of total
 degree below nu are produced three ways:
 
 * closed forms for the standardized case mu = 0, Sigma = I;
-* a one-step moment recursion in two modes. The ``corrected`` mode carries the
-  conditional normal moment E(X^k | t) through the recursion as a polynomial
-  in the reciprocal mixing variable 1/t and only then averages each power
-  against the Gamma(nu/2, nu/2) mixing law, which is exact. The ``literal``
-  mode instead replaces the reciprocal mixing factor by its mean nu/(nu-2)
-  before recursing; the two coincide up to total degree 2 but the literal
-  variant is biased beyond that (for example it yields 3 nu^2/(nu-2)^2 for
-  the standardized 4th moment instead of 3 nu^2/((nu-2)(nu-4))), and is kept
-  only for comparison.
+* one moment recursion in two modes. It carries the conditional normal
+  moment E(X^k | t) as a polynomial in the reciprocal mixing variable 1/t.
+  The ``corrected`` mode averages each power t^(-m) against the
+  Gamma(nu/2, nu/2) mixing law, which is exact. The ``literal`` mode weights
+  it by (nu/(nu-2))^m instead, which is what replacing the reciprocal mixing
+  factor by its mean nu/(nu-2) at every recursion step amounts to; the two
+  coincide up to total degree 2 but the literal variant is biased beyond that
+  (for example it yields 3 nu^2/(nu-2)^2 for the standardized 4th moment
+  instead of 3 nu^2/((nu-2)(nu-4))), and is kept only for comparison.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, UndefinedMomentError
 from .normal_moments import _check_order
-from .t1d import MomentResult, _undefined
+from .t1d import MomentResult, _order_gate
 
 _SQRT_PI = math.sqrt(math.pi)
 _SYMMETRY_TOL = 1e-12
@@ -191,18 +191,10 @@ def t_pdf_nd(t, p: TParamsND):
     return float(out[0]) if single else out
 
 
-def _gate_nd(k: MultiIndex, nu: float, formula: str, mode: str = "closed-form") -> MomentResult | None:
-    if k.total == 0:
-        return MomentResult(1.0, formula=formula, mode=mode)
-    if k.total >= nu:
-        return _undefined(formula, mode)
-    return None
-
-
 def std_raw_moment_nd(k, nu: float) -> MomentResult:
     """E(prod T_i^(k_i)) for mu = 0, Sigma = I: zero unless every order is even."""
     k = MultiIndex.of(k)
-    gate = _gate_nd(k, nu, "raw-standard-nd")
+    gate = _order_gate(k.total, nu, "raw-standard-nd")
     if gate is not None:
         return gate
     if any(ki % 2 for ki in k.k):
@@ -220,7 +212,7 @@ def std_raw_moment_nd(k, nu: float) -> MomentResult:
 def std_abs_moment_nd(k, nu: float) -> MomentResult:
     """E(prod |T_i|^(k_i)) for mu = 0, Sigma = I."""
     k = MultiIndex.of(k)
-    gate = _gate_nd(k, nu, "abs-standard-nd")
+    gate = _order_gate(k.total, nu, "abs-standard-nd")
     if gate is not None:
         return gate
     total = k.total
@@ -278,7 +270,7 @@ def raw_moment_nd(k, p: TParamsND) -> MomentResult:
     k = MultiIndex.of(k)
     if k.dim != p.dim:
         raise DomainError(f"order has dimension {k.dim}, parameters have {p.dim}")
-    gate = _gate_nd(k, p.nu, "mixture-recursion", "corrected")
+    gate = _order_gate(k.total, p.nu, "mixture-recursion", "corrected")
     if gate is not None:
         return gate
     poly = conditional_moment_poly(k, p)
@@ -290,36 +282,22 @@ def raw_moment_nd(k, p: TParamsND) -> MomentResult:
 def raw_moment_nd_literal(k, p: TParamsND) -> MomentResult:
     """E(prod T_i^(k_i)) by the one-step recursion with the averaged coefficient.
 
-    The reciprocal mixing factor is replaced by its mean nu/(nu-2) before the
-    recursion runs, which silently treats the coefficient and the lower-order
-    moment as independent. Exact for total degree <= 2; biased above that.
-    Requires nu > 2.
+    The reciprocal mixing factor is replaced by its mean nu/(nu-2) at every
+    step, which silently treats the coefficient and the lower-order moment as
+    independent. That is the corrected recursion's 1/t polynomial with each
+    power m weighted by (nu/(nu-2))^m instead of E(t^(-m)). Exact (bit for
+    bit equal to :func:`raw_moment_nd`) for total degree <= 2; biased above
+    that. Requires nu > 2.
     """
     k = MultiIndex.of(k)
     if k.dim != p.dim:
         raise DomainError(f"order has dimension {k.dim}, parameters have {p.dim}")
     if not p.nu > 2:
         raise DomainError(f"raw_moment_nd_literal: requires nu > 2, got {p.nu!r}")
-    gate = _gate_nd(k, p.nu, "literal-recursion", "literal")
+    gate = _order_gate(k.total, p.nu, "literal-recursion", "literal")
     if gate is not None:
         return gate
-    prec_inv = p.precision_inverse()
     factor = p.nu / (p.nu - 2.0)
-    memo: dict[tuple[int, ...], float] = {}
-
-    def rec(idx: tuple[int, ...]) -> float:
-        val = memo.get(idx)
-        if val is not None:
-            return val
-        if not any(idx):
-            return 1.0
-        i = next(pos for pos, ki in enumerate(idx) if ki)
-        base = idx[:i] + (idx[i] - 1,) + idx[i + 1:]
-        val = p.mu[i] * rec(base)
-        for j, kj in enumerate(base):
-            if kj:
-                val += factor * prec_inv[i, j] * kj * rec(base[:j] + (kj - 1,) + base[j + 1:])
-        memo[idx] = val
-        return val
-
-    return MomentResult(rec(k.k), formula="literal-recursion", mode="literal")
+    coeffs = conditional_moment_poly(k, p).coeffs
+    value = math.fsum(c * factor ** m for m, c in coeffs.items())
+    return MomentResult(value, formula="literal-recursion", mode="literal")

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import run_cli
 from tmoments.oracle import mixture_pdf_1d, quad_moment_1d, sample_t_nd
-from tmoments.specfun import MAX_SERIES_TERMS, _series_2f1, hyp2f1
+from tmoments.specfun import MAX_SERIES_TERMS, _series, hyp2f1
 from tmoments.t1d import (TParams1D, abs_moment, abs_moment_standard, central_abs_moment,
                           central_moment, raw_from_central, raw_moment,
                           raw_moment_standard, t_pdf)
@@ -228,7 +228,7 @@ def test_criterion_9_hypergeometric_evaluations(capsys):
                         assert abs(res.value - ref) <= 1e-13 * max(1.0, abs(ref))
         for a, b, c in [(0.3, 1.7, 0.5), (-1.5, 2.5, 0.5), (-2.5, 4.75, 1.5)]:
             for z in np.linspace(-0.89, -0.01, 23):
-                direct = _series_2f1(a, b, c, float(z), MAX_SERIES_TERMS)[0]
+                direct = _series(a, b, c, float(z), MAX_SERIES_TERMS)[0]
                 val = hyp2f1(a, b, c, float(z)).value
                 assert abs(val - direct) <= 1e-10 * max(1.0, abs(direct))
 

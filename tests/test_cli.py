@@ -122,6 +122,18 @@ class TestExitCodes:
                        "--method", "mc")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--k", "5,5", "--kind", "central", "--nu", "9"),
+        ("--k", "2,1", "--kind", "abs", "--mu", "1,2", "--nu", "9"),
+        ("--k", "1", "--kind", "central", "--lower", "0", "--nu", "9"),
+    ])
+    def test_verify_non_raw_multivariate_or_truncated_is_two(self, argv):
+        # these moments exist only as raw moments; --kind must not be ignored
+        proc = run_cli("verify", *argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "--kind raw" in proc.stderr
+
     def test_estimation_failure_is_four(self):
         proc = run_cli("oracle", "--k", "1", "--nu", "5", "--method", "mc",
                        "--samples", "1000", "--lower", "500", "--upper", "501")

@@ -131,6 +131,13 @@ class TestNormalRaw:
         with pytest.raises(DomainError):
             normal_raw_moment(NormalParams(0.0, 1.0), 1.5)
 
+    @pytest.mark.parametrize("fn", [normal_abs_moment, normal_raw_moment])
+    def test_overflowing_series_argument_raises(self, fn):
+        # mean^2 / (2 variance) is -inf, so no series term is a finite double;
+        # the result must not be a nan or inf passed off as a value
+        with pytest.raises(OverflowError, match="not a finite double"):
+            fn(NormalParams(1e160, 1.0), 3)
+
 
 class TestGammaMoment:
     def test_integer_moment_ratio(self):

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmoments.errors import DomainError, NonConvergenceError
-from tmoments.specfun import (MAX_SERIES_TERMS, _series_1f1, _series_2f1, gamma_ratio,
-                              hyp1f1, hyp2f1, log_gamma, rising_factorial)
+from tmoments.specfun import (MAX_SERIES_TERMS, _series, gamma_ratio, hyp1f1, hyp2f1, log_gamma,
+                              rising_factorial)
 
 mpmath.mp.dps = 40
 
@@ -42,6 +42,43 @@ def exact_2f1(n: int, b: Fraction, c: Fraction, z: Fraction) -> Fraction:
 
 def rel_err(x: float, ref: float) -> float:
     return abs(x - ref) / max(1.0, abs(ref))
+
+
+# (arguments, (value, terms_used, est_error, terminating)) recorded from the
+# separate 1F1 and 2F1 loops that the shared term loop replaced, one or more
+# rows per evaluation path: terminating (z = 0 included), Kummer, Pfaff,
+# direct series and the non-terminating z = 0 return. Compared exactly, so any
+# change to the product order or the stopping rule shows.
+HYP1F1_TABLE = [
+    ((-2.0, 0.5, 1.2), (-1.8800000000000001, 3, 0.0, True)),
+    ((-5.0, 1.5, -7.25), (751.2294943482443, 6, 0.0, True)),
+    ((-3.0, 0.5, 0.0), (1.0, 4, 0.0, True)),
+    ((0.0, 2.5, 3.0), (1.0, 1, 0.0, True)),
+    ((-1.0, -2.0, 1.0), (1.5, 2, 0.0, True)),
+    ((0.25, 0.5, -3.0), (0.4192771154985781, 27, 7.48614979951611e-18, False)),
+    ((1.7, 1.5, -12.0), (-0.002752726282907595, 49, 1.5531476468002352e-19, False)),
+    ((-1.5, 0.5, -40.0), (465.2142709610274, 104, 3.2245339165575146e-14, False)),
+    ((0.25, 0.5, 2.5), (5.520979909275023, 25, 1.2534319901163992e-16, False)),
+    ((3.2, 5.5, 8.0), (278.7333504953862, 40, 5.886369785829651e-15, False)),
+    ((-2.5, 0.5, 0.75), (-1.4160457165788811, 15, 7.830848610610653e-18, False)),
+    ((0.7, 1.5, 0.0), (1.0, 1, 0.0, False)),
+]
+HYP2F1_TABLE = [
+    ((-2.0, 1.5, 0.5, -0.4), (4.2, 3, 0.0, True)),
+    ((1.5, -3.0, 0.5, -0.7), (17.051000000000002, 4, 0.0, True)),
+    ((-4.0, 2.5, 1.5, 0.0), (1.0, 5, 0.0, True)),
+    ((-3.0, -11.0, 9.75, -3.3), (-4.770861340539717, 4, 0.0, True)),
+    ((-6.0, -2.0, 1.5, -0.25), (-0.5, 3, 0.0, True)),
+    ((-7.0, 12.5, 0.5, -2.5), (284458438.42487985, 8, 0.0, True)),
+    ((0.3, 1.7, 0.5, -0.6), (0.6424594330699354, 28, 4.431136312904072e-17, False)),
+    ((-0.5, 3.3, 1.5, -4.0), (3.2388399335566507, 63, 3.3063119710696873e-16, False)),
+    ((0.25, 0.75, 1.25, -40.0), (0.49006950648455844, 982, 5.333351781412903e-17, False)),
+    ((-1.5, 2.5, 0.5, -1.3), (16.431761397023013, 3, 0.0, False)),
+    ((1.2, 0.4, 2.5, 0.55), (1.1439115306997387, 49, 7.323485975784385e-17, False)),
+    ((0.3, 0.5, 1.5, 0.9), (1.1671937636331586, 242, 1.2479215421203656e-16, False)),
+    ((-0.5, 2.5, 0.5, -0.0), (1.0, 1, 0.0, False)),
+    ((0.7, 0.3, 1.1, 0.0), (1.0, 1, 0.0, False)),
+]
 
 
 class TestLogGamma:
@@ -145,8 +182,8 @@ class TestHyp1F1:
         for a in (0.25, 0.8, 2.3):
             for c in (0.5, 1.5, 3.7):
                 for z in (-8.0, -2.5, -0.3):
-                    direct = _series_1f1(a, c, z, MAX_SERIES_TERMS)[0]
-                    transformed = math.exp(z) * _series_1f1(c - a, c, -z, MAX_SERIES_TERMS)[0]
+                    direct = _series(a, None, c, z, MAX_SERIES_TERMS)[0]
+                    transformed = math.exp(z) * _series(c - a, None, c, -z, MAX_SERIES_TERMS)[0]
                     assert abs(direct - transformed) <= 1e-11 * max(1.0, abs(direct))
                     assert rel_err(hyp1f1(a, c, z).value, transformed) < 1e-12
 
@@ -199,7 +236,7 @@ class TestHyp2F1:
         # direct alternating series converges for |z| < 1; the public function
         # goes through the Pfaff transform for z < 0
         for (a, b, c) in [(0.3, 1.7, 0.5), (-0.5, 2.5, 1.5), (0.9, 0.45, 2.2)]:
-            direct = _series_2f1(a, b, c, z, MAX_SERIES_TERMS)[0]
+            direct = _series(a, b, c, z, MAX_SERIES_TERMS)[0]
             val = hyp2f1(a, b, c, z).value
             assert abs(val - direct) <= 1e-10 * max(1.0, abs(direct))
 
@@ -235,6 +272,11 @@ class TestHyp2F1:
     def test_zero_argument(self):
         assert hyp2f1(0.7, 0.3, 1.1, 0.0).value == 1.0
 
+    def test_non_finite_term_is_an_overflow(self):
+        # terms of both signs overflow; summed, they would be fsum's bare ValueError
+        with pytest.raises(OverflowError, match="not a finite double"):
+            hyp2f1(-3.0, -11, 9.851277044818806, -3.316066270375878e+199)
+
     def test_diagnostics_error_bound_is_honest(self):
         # non-terminating evaluation: first-neglected-term bound should cover
         # the true error by a wide margin
@@ -242,3 +284,15 @@ class TestHyp2F1:
         ref = float(mpmath.hyp2f1(0.3, 1.7, 0.5, -0.6))
         assert abs(res.value - ref) <= max(res.est_error * 100, 1e-14 * abs(ref))
         assert res.terms_used > 3
+
+
+@pytest.mark.parametrize("args, expected", HYP1F1_TABLE)
+def test_hyp1f1_pinned_outputs(args, expected):
+    res = hyp1f1(*args)
+    assert (res.value, res.terms_used, res.est_error, res.terminating) == expected
+
+
+@pytest.mark.parametrize("args, expected", HYP2F1_TABLE)
+def test_hyp2f1_pinned_outputs(args, expected):
+    res = hyp2f1(*args)
+    assert (res.value, res.terms_used, res.est_error, res.terminating) == expected

@@ -1,14 +1,16 @@
 """Univariate t moment formulas against quadrature and hand-derived values."""
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tmoments.errors import DomainError
+from tmoments.errors import DomainError, NonConvergenceError
 from tmoments.oracle import mixture_pdf_1d, quad_moment_1d
 from tmoments.t1d import (TParams1D, abs_moment, abs_moment_standard, central_abs_moment,
                           central_moment, precision_from_scale, raw_from_central,
@@ -183,10 +185,75 @@ class TestDefinedness:
         (central_moment, 30, TParams1D(0.0, 1e-300, 100.0)),
     ])
     def test_overflow_raises(self, fn, k, p):
-        # raw_moment's value overflows to inf inside the sum, the other two in
-        # a float power; all three end in the same error
+        # raw_moment's terminating series reaches a term beyond the double
+        # range, abs_moment's Pfaff prefactor overflows in a float power and
+        # central_moment's even-order scale product overflows; all three end
+        # in the same error
         with pytest.raises(OverflowError):
             fn(k, p)
+
+
+class TestEvenOrderScale:
+    """Even orders use the product prod (2i-1) (nu/sigma) / (nu - 2i)."""
+
+    @pytest.mark.parametrize("nu", [3.5, 7.0, 1e6, 1e10, 1e14])
+    def test_second_moment_is_correctly_rounded(self, nu):
+        exact = float(Fraction(nu) / (Fraction(nu) - 2))
+        p = TParams1D(0.0, 1.0, nu)
+        for fn in (central_moment, raw_moment, abs_moment, central_abs_moment):
+            assert fn(2, p).value == exact
+        assert raw_moment_standard(2, nu).value == exact
+
+    @pytest.mark.parametrize("nu", [5.5, 9.0, 1e6, 1e10, 1e14])
+    def test_fourth_moment_against_exact_rational(self, nu):
+        f = Fraction(nu)
+        exact = float(3 * f * f / ((f - 2) * (f - 4)))
+        p = TParams1D(0.0, 1.0, nu)
+        for fn in (central_moment, raw_moment, abs_moment, central_abs_moment):
+            assert math.isclose(fn(4, p).value, exact, rel_tol=1e-15)
+        assert math.isclose(raw_moment_standard(4, nu).value, exact, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("k, sigma, nu", [(200, 1e4, 1e5), (60, 1e-8, 100.0)])
+    def test_extreme_scales_against_mpmath(self, k, sigma, nu):
+        # the separate power and gamma factors would underflow to 0 and
+        # overflow respectively; the product stays inside the double range
+        with mpmath.workdps(40):
+            s, n = mpmath.mpf(sigma), mpmath.mpf(nu)
+            ref = float((n / s) ** (k // 2) * mpmath.gamma((k + 1) / mpmath.mpf(2))
+                        * mpmath.gamma((n - k) / 2)
+                        / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(n / 2)))
+        assert math.isclose(central_moment(k, TParams1D(0.0, sigma, nu)).value, ref,
+                            rel_tol=1e-14)
+
+
+_TYPED_ERRORS = (DomainError, NonConvergenceError, OverflowError)
+
+
+@st.composite
+def awkward_1d_inputs(draw):
+    k = draw(st.integers(0, 40))
+    near = draw(st.floats(-1.0, 2.0).map(lambda d: k + d).filter(lambda nu: nu > 0))
+    nu = draw(st.one_of(st.just(near), st.floats(1e-3, 1e15)))
+    sigma = 10.0 ** draw(st.floats(-300.0, 300.0))
+    mu = draw(st.one_of(st.just(0.0), st.floats(-1e20, 1e20)))
+    return k, TParams1D(mu, sigma, nu)
+
+
+class TestOutcomeSweep:
+    @given(awkward_1d_inputs(), st.sampled_from([raw_moment, central_moment, abs_moment,
+                                                 central_abs_moment]))
+    @settings(max_examples=400, deadline=None)
+    def test_each_input_has_one_allowed_outcome(self, case, fn):
+        # a finite defined value, an undefined result, or a typed error
+        k, p = case
+        try:
+            res = fn(k, p)
+        except _TYPED_ERRORS:
+            return
+        if res.defined:
+            assert math.isfinite(res.value)
+        else:
+            assert math.isnan(res.value) and res.reason
 
 
 class TestMomentResultProtocol:

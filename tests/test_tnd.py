@@ -266,6 +266,18 @@ class TestLiteralRecursion:
             expected = (nu - 2.0) / (nu - 4.0)
             assert abs(ratio - expected) <= 1e-9 * expected
 
+    @pytest.mark.parametrize("k, p, expected", [
+        ((4, 3, 3), TParamsND([0.4, -0.3, 0.2],
+                              [[2.0, 0.3, -0.2], [0.3, 1.5, 0.1], [-0.2, 0.1, 1.0]], 25.0),
+         -5.99985641758638),
+        ((3, 3, 3, 3, 3), TParamsND([0.5, -0.2, 0.1, 0.3, -0.4], np.eye(5) * 1.5 + 0.2, 40.0),
+         0.21151256373986949),
+    ])
+    def test_high_order_values(self, k, p, expected):
+        # recorded from a scalar recursion that multiplied by nu/(nu-2) at
+        # every step, before the literal mode reused the 1/t polynomial
+        assert math.isclose(raw_moment_nd_literal(k, p).value, expected, rel_tol=1e-12)
+
     def test_literal_underestimates_heavy_tails(self):
         p = TParamsND(np.zeros(2), np.eye(2), 6.0)
         assert raw_moment_nd_literal((4, 0), p).value < raw_moment_nd((4, 0), p).value
