@@ -134,17 +134,29 @@ def _abs_scale(k: float, nu: float, sigma: float) -> float:
     """E|T - mu|^k = (nu/sigma)^(k/2) Gamma((k+1)/2) Gamma((nu-k)/2) / (sqrt(pi) Gamma(nu/2)).
 
     Every moment kind is built from this scale. For even k = 2q the gamma
-    ratio telescopes into prod_{i=1}^{q} (2i-1) (nu/sigma) / (nu - 2i), which
-    neither cancels nor under- or overflows in a separate power factor; other
+    ratio telescopes into prod_{i=1}^{q} (2i-1) (nu / (nu - 2i)) / sigma, which
+    does not cancel. The running product is kept as a mantissa and a binary
+    exponent, so it cannot under- or overflow on the way to a result inside
+    the double range. The factors grow with i, so the loop stops once the
+    outcome is certain: an overflow once the product is past the double range
+    and rising, and zero once it is below it and no factor exceeds 1. Other
     orders take the log-gamma ratio.
     """
-    w = nu / sigma
     if k % 2 == 0:
-        out = 1.0
-        for i in range(1, int(k) // 2 + 1):
-            out *= (2 * i - 1) * w / (nu - 2 * i)
-        return out
-    return (w ** (k / 2.0) * math.gamma((k + 1.0) / 2.0) / _SQRT_PI
+        q = int(k) // 2
+        mant, exp = 1.0, 0
+        for i in range(1, q + 1):
+            f = (2 * i - 1) * (nu / (nu - 2 * i)) / sigma
+            mant *= f
+            if not 1e-150 < mant < 1e150:
+                mant, e = math.frexp(mant)
+                exp += e
+                if f >= 1.0 and (exp > 1024 or mant == math.inf):
+                    raise OverflowError(f"E|T - mu|^{2 * q} is beyond the double range")
+                if exp < -1076 and (2 * q - 1) * (nu / (nu - 2 * q)) / sigma <= 1.0:
+                    return 0.0
+        return math.ldexp(mant, exp)
+    return ((nu / sigma) ** (k / 2.0) * math.gamma((k + 1.0) / 2.0) / _SQRT_PI
             * gamma_ratio((nu - k) / 2.0, nu / 2.0))
 
 

@@ -1,6 +1,7 @@
 """Univariate t moment formulas against quadrature and hand-derived values."""
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -192,9 +193,20 @@ class TestDefinedness:
         with pytest.raises(OverflowError):
             fn(k, p)
 
+    def test_huge_even_order_stops_early(self):
+        # 5e8 factors would take minutes; with sigma = 1 the product is past
+        # the double range and rising after a few hundred of them, with
+        # sigma = 1e20 every factor is below 1 and the product below the
+        # range after a few dozen
+        start = time.perf_counter()
+        with pytest.raises(OverflowError):
+            central_moment(10**9, TParams1D(0.0, 1.0, 1e15))
+        assert central_moment(10**9, TParams1D(0.0, 1e20, 1e15)).value == 0.0
+        assert time.perf_counter() - start < 1.0
+
 
 class TestEvenOrderScale:
-    """Even orders use the product prod (2i-1) (nu/sigma) / (nu - 2i)."""
+    """Even orders use the product prod (2i-1) (nu / (nu - 2i)) / sigma."""
 
     @pytest.mark.parametrize("nu", [3.5, 7.0, 1e6, 1e10, 1e14])
     def test_second_moment_is_correctly_rounded(self, nu):
@@ -213,17 +225,21 @@ class TestEvenOrderScale:
             assert math.isclose(fn(4, p).value, exact, rel_tol=1e-15)
         assert math.isclose(raw_moment_standard(4, nu).value, exact, rel_tol=1e-15)
 
-    @pytest.mark.parametrize("k, sigma, nu", [(200, 1e4, 1e5), (60, 1e-8, 100.0)])
+    @pytest.mark.parametrize("k, sigma, nu", [(200, 1e4, 1e5), (60, 1e-8, 100.0),
+                                              (5436, 2000.0, 1e6), (2, 1e-300, 1e15)])
     def test_extreme_scales_against_mpmath(self, k, sigma, nu):
-        # the separate power and gamma factors would underflow to 0 and
-        # overflow respectively; the product stays inside the double range
+        # separate power and gamma factors would underflow to 0, overflow,
+        # overflow and give nu/sigma = inf; in the last two cases the running
+        # product falls to about e^-1000 and nu/sigma overflows, so only the
+        # mantissa-exponent product stays inside the double range
         with mpmath.workdps(40):
             s, n = mpmath.mpf(sigma), mpmath.mpf(nu)
             ref = float((n / s) ** (k // 2) * mpmath.gamma((k + 1) / mpmath.mpf(2))
                         * mpmath.gamma((n - k) / 2)
                         / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(n / 2)))
-        assert math.isclose(central_moment(k, TParams1D(0.0, sigma, nu)).value, ref,
-                            rel_tol=1e-14)
+        p = TParams1D(0.0, sigma, nu)
+        for fn in (central_moment, raw_moment, abs_moment, central_abs_moment):
+            assert math.isclose(fn(k, p).value, ref, rel_tol=1e-14)
 
 
 _TYPED_ERRORS = (DomainError, NonConvergenceError, OverflowError)
