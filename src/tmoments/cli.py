@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -286,13 +287,33 @@ def _cmd_truncated(args) -> tuple[dict, int]:
     return _answer(_truncated_moment(orders, rect, p, args.mode, args.tol))
 
 
-def _is_multivariate(args) -> bool:
-    if args.sigma_mat is not None or getattr(args, "sigma_file", None):
-        return True
-    return len(_parse_orders(args.k)) > 1
+class _Request:
+    """The parsed command line of an oracle or verify request.
+
+    Each part is parsed once, on first use, so the formula and the oracle
+    share one parse and a malformed part is reported where it is first needed.
+    """
+
+    def __init__(self, args):
+        self.args = args
+        self.orders = _parse_orders(args.k)
+        self.multivariate = (args.sigma_mat is not None or bool(getattr(args, "sigma_file", None))
+                             or len(self.orders) > 1)
+
+    @cached_property
+    def params_1d(self) -> TParams1D:
+        return _params_1d(self.args)
+
+    @cached_property
+    def params_nd(self) -> TParamsND:
+        return _params_nd(self.args, len(self.orders))
+
+    @cached_property
+    def rect(self) -> Rectangle | None:
+        return _parse_rectangle(self.args, len(self.orders))
 
 
-def _oracle_estimate(args, orders, seed) -> tuple[float, dict, str]:
+def _oracle_estimate(req: _Request, seed) -> tuple[float, dict, str]:
     """Shared by the oracle and verify subcommands.
 
     Returns (value, diagnostics, formula tag). 1-D untruncated and 1-D
@@ -302,58 +323,56 @@ def _oracle_estimate(args, orders, seed) -> tuple[float, dict, str]:
     from .oracle import mc_moment_nd, quad_moment_1d
     from .tnd import TParamsND
 
-    multivariate = _is_multivariate(args)
-    if multivariate and args.method == "quad":
+    args = req.args
+    if req.multivariate and args.method == "quad":
         raise _UsageError("the quadrature oracle supports one-dimensional requests only")
-    if not multivariate and args.method != "mc":
-        p1 = _params_1d(args)
+    if not req.multivariate and args.method != "mc":
+        p1 = req.params_1d
         bounds = (_parse_scalar(args.lower, "--lower") if args.lower is not None else -math.inf,
                   _parse_scalar(args.upper, "--upper") if args.upper is not None else math.inf)
-        res = quad_moment_1d(args.kind, orders[0], p1, bounds=bounds, tol=args.tol)
+        res = quad_moment_1d(args.kind, req.orders[0], p1, bounds=bounds, tol=args.tol)
         diag = {"method": "quad", "est_abs_error": res.est_abs_error,
                 "evaluations": res.evaluations}
         return res.value, diag, "oracle-quad"
     if args.kind != "raw":
         raise _UsageError("the Monte Carlo oracle supports --kind raw only")
-    if multivariate:
-        p = _params_nd(args, len(orders))
+    if req.multivariate:
+        p = req.params_nd
     else:
-        p1 = _params_1d(args)
+        p1 = req.params_1d
         p = TParamsND(np.array([p1.mu]), np.array([[p1.sigma]]), p1.nu)
-    rect = _parse_rectangle(args, p.dim)
-    est = mc_moment_nd(orders, p, rect=rect, n_samples=args.samples, seed=seed)
+    est = mc_moment_nd(req.orders, p, rect=req.rect, n_samples=args.samples, seed=seed)
     diag = {"method": "mc", "std_error": est.std_error,
             "n_samples": est.n_samples, "seed": est.seed}
     return est.value, diag, "oracle-mc"
 
 
 def _cmd_oracle(args) -> tuple[dict, int]:
-    orders = _parse_orders(args.k)
-    seed = _resolve_seed(args)
-    value, diag, tag = _oracle_estimate(args, orders, seed)
+    req = _Request(args)
+    value, diag, tag = _oracle_estimate(req, _resolve_seed(args))
     return _response(value, formula=tag, mode="oracle", diagnostics=diag), 0
 
 
-def _verify_formula(args, orders) -> MomentResult:
+def _verify_formula(req: _Request) -> MomentResult:
     """The closed form verify checks, from the routine of the matching subcommand."""
-    if not (_is_multivariate(args) or args.lower is not None or args.upper is not None):
-        return _one_d_moment(args.kind, orders[0], _params_1d(args))
+    args = req.args
+    if not (req.multivariate or args.lower is not None or args.upper is not None):
+        return _one_d_moment(args.kind, req.orders[0], req.params_1d)
     if args.kind != "raw":
         raise _UsageError("multivariate and truncated moments are raw moments; use --kind raw")
-    p = _params_nd(args, len(orders))
-    rect = _parse_rectangle(args, p.dim)
-    if rect is None:
-        return _multi_moment(orders, p, args.mode)
-    return _truncated_moment(orders, rect, p, args.mode, args.tol)
+    p = req.params_nd
+    if req.rect is None:
+        return _multi_moment(req.orders, p, args.mode)
+    return _truncated_moment(req.orders, req.rect, p, args.mode, args.tol)
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    orders = _parse_orders(args.k)
+    req = _Request(args)
     seed = _resolve_seed(args)
-    formula = _verify_formula(args, orders)
+    formula = _verify_formula(req)
     if not formula.defined:
         return _from_result(formula), 3
-    oracle_value, diag, _ = _oracle_estimate(args, orders, seed)
+    oracle_value, diag, _ = _oracle_estimate(req, seed)
     diff = abs(formula.value - oracle_value)
     if diag["method"] == "mc":
         allowed = max(4.0 * diag["std_error"], args.tol)

@@ -1,6 +1,7 @@
 """Special-function kernel used by the moment formulas.
 
-Provides log-gamma, gamma ratios, rising factorials and the two hypergeometric
+Provides log-gamma, gamma ratios, rising factorials, the one range-safe
+product behind every integer-order moment scale, and the two hypergeometric
 series 1F1 and 2F1, restricted to the argument ranges the moment formulas
 produce: real parameters, real argument with z <= 0 or |z| < 1. Both series
 run through one term loop; 1F1 is the case without a second upper parameter.
@@ -85,6 +86,33 @@ def rising_factorial(a: float, n: int) -> float:
     for i in range(int(n)):
         out *= a + i
     return out
+
+
+def _product(q: int, c0, c1, n: float, d0: float, d1, s: float = 1.0,
+             start: float = 1.0) -> float:
+    """start * prod_{i=1}^{q} (c0 + c1 (i-1)) (n / (d0 + d1 i)) / s, for
+    positive factors that do not decrease with i.
+
+    This is the one product behind every integer-order moment scale; each
+    caller picks the coefficients of its factor. The running product is kept
+    as a mantissa and a binary exponent, so it cannot under- or overflow on
+    the way to a result inside the double range. As the factors do not
+    decrease, the loop stops once the outcome is certain: an OverflowError
+    once the product is past the double range and rising, and zero once it is
+    below it and no factor exceeds 1.
+    """
+    mant, exp = (start, 0) if 1e-150 < start < 1e150 else math.frexp(start)
+    for i in range(1, q + 1):
+        f = (c0 + c1 * (i - 1)) * (n / (d0 + d1 * i)) / s
+        mant *= f
+        if not 1e-150 < mant < 1e150:
+            mant, e = math.frexp(mant)
+            exp += e
+            if f >= 1.0 and (exp > 1024 or mant == math.inf):
+                raise OverflowError(f"a moment scale of {q} factors is beyond the double range")
+            if exp < -1076 and (c0 + c1 * (q - 1)) * (n / (d0 + d1 * q)) / s <= 1.0:
+                return 0.0
+    return math.ldexp(mant, exp)
 
 
 def _pole_before_termination(c: float, n_last: int) -> bool:

@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .normal_moments import _check_order
-from .specfun import gamma_ratio, hyp2f1
-
-_SQRT_PI = math.sqrt(math.pi)
+from .normal_moments import _SQRT_2_OVER_PI, _check_order, _log_gamma_moment, _log_normal_scale
+from .specfun import _product, hyp2f1
 
 #: Moment kinds of the univariate closed forms, the 1-D oracle and the CLI.
 KINDS = ("raw", "central", "abs", "central-abs")
@@ -42,8 +40,10 @@ class TParams1D:
     nu: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise DomainError(f"TParams1D: sigma must be positive, got {self.sigma!r}")
+        if math.isnan(self.mu):
+            raise DomainError("TParams1D: mu must not be NaN")
+        if not 0 < self.sigma < math.inf:
+            raise DomainError(f"TParams1D: sigma must be positive and finite, got {self.sigma!r}")
         if not self.nu > 0:
             raise DomainError(f"TParams1D: nu must be positive, got {self.nu!r}")
 
@@ -133,31 +133,24 @@ def t_pdf(t, p: TParams1D):
 def _abs_scale(k: float, nu: float, sigma: float) -> float:
     """E|T - mu|^k = (nu/sigma)^(k/2) Gamma((k+1)/2) Gamma((nu-k)/2) / (sqrt(pi) Gamma(nu/2)).
 
-    Every moment kind is built from this scale. For even k = 2q the gamma
-    ratio telescopes into prod_{i=1}^{q} (2i-1) (nu / (nu - 2i)) / sigma, which
-    does not cancel. The running product is kept as a mantissa and a binary
-    exponent, so it cannot under- or overflow on the way to a result inside
-    the double range. The factors grow with i, so the loop stops once the
-    outcome is certain: an overflow once the product is past the double range
-    and rising, and zero once it is below it and no factor exceeds 1. Other
-    orders take the log-gamma ratio.
+    Every moment kind is built from this scale. It is the scale-mixture
+    product of the normal scale E|X|^k, X ~ N(0, 1/sigma), and the mixing
+    moment E(lambda^(-k/2)), lambda ~ Gamma(nu/2, nu/2). For integer k the
+    two are interleaved into one product that neither cancels nor leaves the
+    double range on the way, so only the result can overflow: for even
+    k = 2q it is prod_{i=1}^{q} (2i-1) (nu / (nu - 2i)) / sigma, and for odd
+    k = 2q + 1 the first absolute moment times
+    prod_{i=1}^{q} 2i (nu / (nu - 1 - 2i)) / sigma. Other orders take the
+    log-gamma value of both factors at once.
     """
     if k % 2 == 0:
-        q = int(k) // 2
-        mant, exp = 1.0, 0
-        for i in range(1, q + 1):
-            f = (2 * i - 1) * (nu / (nu - 2 * i)) / sigma
-            mant *= f
-            if not 1e-150 < mant < 1e150:
-                mant, e = math.frexp(mant)
-                exp += e
-                if f >= 1.0 and (exp > 1024 or mant == math.inf):
-                    raise OverflowError(f"E|T - mu|^{2 * q} is beyond the double range")
-                if exp < -1076 and (2 * q - 1) * (nu / (nu - 2 * q)) / sigma <= 1.0:
-                    return 0.0
-        return math.ldexp(mant, exp)
-    return ((nu / sigma) ** (k / 2.0) * math.gamma((k + 1.0) / 2.0) / _SQRT_PI
-            * gamma_ratio((nu - k) / 2.0, nu / 2.0))
+        return _product(int(k) // 2, 1, 2, nu, nu, -2, sigma)
+    if k % 2 == 1:
+        first = (_SQRT_2_OVER_PI / math.sqrt(sigma)
+                 * math.exp(_log_gamma_moment(nu / 2.0, nu / 2.0, -0.5)))
+        return _product(int(k) // 2, 2, 2, nu, nu - 1.0, -2, sigma, first)
+    return math.exp(_log_normal_scale(k, -math.log(sigma))
+                    + _log_gamma_moment(nu / 2.0, nu / 2.0, -k / 2.0))
 
 
 def _located_abs(k: float, p: TParams1D, formula: str) -> MomentResult:
@@ -192,8 +185,8 @@ def abs_moment_standard(k, nu: float, *, allow_noninteger: bool = False) -> Mome
 def raw_moment(k, p: TParams1D) -> MomentResult:
     """E(T^k) for general (mu, sigma, nu), via terminating 2F1 sums.
 
-    Even orders coincide with :func:`abs_moment`; odd orders carry a factor
-    of mu and use the companion series 2F1((1-k)/2, nu/2 - (k-1)/2; 3/2; z).
+    Even orders coincide with :func:`abs_moment`; odd orders are
+    k mu E|T - mu|^(k-1) 2F1((1-k)/2, nu/2 - (k-1)/2; 3/2; -mu^2 sigma/nu).
     """
     k = _check_order(k)
     gate = _order_gate(k, p.nu, "raw")
@@ -201,11 +194,8 @@ def raw_moment(k, p: TParams1D) -> MomentResult:
         return gate
     if k % 2 == 0:
         return _located_abs(k, p, "raw")
-    z = -p.mu * p.mu * p.sigma / p.nu
-    h = hyp2f1((1.0 - k) / 2.0, p.nu / 2.0 - (k - 1.0) / 2.0, 1.5, z)
-    value = (2.0 * p.mu * (p.nu / p.sigma) ** ((k - 1.0) / 2.0)
-             * math.gamma(k / 2.0 + 1.0) / _SQRT_PI
-             * gamma_ratio(p.nu / 2.0 - (k - 1.0) / 2.0, p.nu / 2.0) * h.value)
+    h = hyp2f1((1.0 - k) / 2.0, p.nu / 2.0 - (k - 1.0) / 2.0, 1.5, -p.mu * p.mu * p.sigma / p.nu)
+    value = k * p.mu * _abs_scale(k - 1, p.nu, p.sigma) * h.value
     return MomentResult(value, formula="raw", diagnostics=_series_diag(h))
 
 

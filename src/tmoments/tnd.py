@@ -6,9 +6,11 @@ The density uses the precision convention: for SPD matrix Sigma,
 
 so Sigma plays the role of an inverse scale matrix and the covariance for
 nu > 2 is nu/(nu-2) Sigma^(-1). Mixed moments E(prod T_i^(k_i)) of total
-degree below nu are produced three ways:
+degree K below nu are produced three ways:
 
-* closed forms for the standardized case mu = 0, Sigma = I;
+* closed forms for the standardized case mu = 0, Sigma = I: the mixing
+  moment E(lambda^(-K/2)) times one standard-normal moment per coordinate,
+  both from ``normal_moments``;
 * one moment recursion in two modes. It carries the conditional normal
   moment E(X^k | t) as a polynomial in the reciprocal mixing variable 1/t.
   The ``corrected`` mode averages each power t^(-m) against the
@@ -27,11 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UndefinedMomentError
-from .normal_moments import _check_order
+from .errors import DomainError
+from .normal_moments import GammaParams, _check_order, _gamma_moment, _normal_scale, gamma_moment
 from .t1d import MomentResult, _order_gate
 
-_SQRT_PI = math.sqrt(math.pi)
 _SYMMETRY_TOL = 1e-12
 
 
@@ -112,6 +113,8 @@ class TParamsND:
         sig = np.array(self.sigma_mat, dtype=float)
         if mu.ndim != 1:
             raise DomainError(f"TParamsND: mu must be a vector, got shape {mu.shape}")
+        if np.isnan(mu).any():
+            raise DomainError(f"TParamsND: mu must not contain NaN, got {mu.tolist()!r}")
         if sig.shape != (mu.size, mu.size):
             raise DomainError(
                 f"TParamsND: sigma_mat shape {sig.shape} does not match dimension {mu.size}")
@@ -156,22 +159,13 @@ class MixturePoly:
     def mixture_mean(self, nu: float) -> float:
         """Average over t ~ Gamma(nu/2, nu/2), one reciprocal-power moment per term.
 
-        For integer m < nu/2, E(t^(-m)) = prod_{i=1}^{m} (nu/2) / (nu/2 - i).
-        The cancellation-free product keeps low-order results exact: the m = 1
-        factor is the single correctly rounded quotient nu/(nu-2), so total
-        degree <= 2 moments agree bit for bit with the literal recursion.
+        For integer m < nu/2, E(t^(-m)) = prod_{i=1}^{m} (nu/2) / (nu/2 - i);
+        otherwise it is undefined. The m = 1 factor is the single correctly
+        rounded quotient nu/(nu-2), so total degree <= 2 moments agree bit for
+        bit with the literal recursion.
         """
-        half = nu / 2.0
-        terms = []
-        for m, c in self.coeffs.items():
-            w = 1.0
-            for i in range(1, int(m) + 1):
-                if not half - i > 0:
-                    raise UndefinedMomentError(
-                        f"mixture_mean: E(t^-{m}) undefined for nu = {nu!r}")
-                w *= half / (half - i)
-            terms.append(c * w)
-        return math.fsum(terms)
+        mixing = GammaParams(nu / 2.0, nu / 2.0)
+        return math.fsum(c * gamma_moment(mixing, -m) for m, c in self.coeffs.items())
 
 
 def t_pdf_nd(t, p: TParamsND):
@@ -191,37 +185,27 @@ def t_pdf_nd(t, p: TParamsND):
     return float(out[0]) if single else out
 
 
-def std_raw_moment_nd(k, nu: float) -> MomentResult:
-    """E(prod T_i^(k_i)) for mu = 0, Sigma = I: zero unless every order is even."""
+def _std_moment_nd(k, nu: float, formula: str, raw: bool) -> MomentResult:
+    # E(lambda^(-K/2)) prod E|Z_i|^(k_i) for Z ~ N(0, I), lambda ~ Gamma(nu/2, nu/2)
     k = MultiIndex.of(k)
-    gate = _order_gate(k.total, nu, "raw-standard-nd")
+    gate = _order_gate(k.total, nu, formula)
     if gate is not None:
         return gate
-    if any(ki % 2 for ki in k.k):
-        return MomentResult(0.0, formula="raw-standard-nd")
-    total = k.total
-    coeff = 1.0
-    for ki in k.k:
-        coeff *= math.factorial(ki) / math.factorial(ki // 2)
-    value = (nu ** (total / 2.0) * math.exp(math.lgamma((nu - total) / 2.0)
-                                            - math.lgamma(nu / 2.0))
-             * coeff / 2.0 ** total)
-    return MomentResult(value, formula="raw-standard-nd")
+    if raw and any(ki % 2 for ki in k.k):
+        return MomentResult(0.0, formula=formula)
+    normal = math.prod(_normal_scale(ki, 1.0) for ki in k.k)
+    return MomentResult(normal * _gamma_moment(nu / 2.0, nu / 2.0, -k.total / 2.0),
+                        formula=formula)
+
+
+def std_raw_moment_nd(k, nu: float) -> MomentResult:
+    """E(prod T_i^(k_i)) for mu = 0, Sigma = I: zero unless every order is even."""
+    return _std_moment_nd(k, nu, "raw-standard-nd", raw=True)
 
 
 def std_abs_moment_nd(k, nu: float) -> MomentResult:
     """E(prod |T_i|^(k_i)) for mu = 0, Sigma = I."""
-    k = MultiIndex.of(k)
-    gate = _order_gate(k.total, nu, "abs-standard-nd")
-    if gate is not None:
-        return gate
-    total = k.total
-    coeff = 1.0
-    for ki in k.k:
-        coeff *= math.gamma((ki + 1.0) / 2.0) / _SQRT_PI
-    value = (nu ** (total / 2.0) * math.exp(math.lgamma((nu - total) / 2.0)
-                                            - math.lgamma(nu / 2.0)) * coeff)
-    return MomentResult(value, formula="abs-standard-nd")
+    return _std_moment_nd(k, nu, "abs-standard-nd", raw=False)
 
 
 def _conditional_poly(k: tuple[int, ...], mu: list[float], prec_inv: list[list[float]],

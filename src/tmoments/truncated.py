@@ -287,10 +287,9 @@ def rectangle_probability(r: Rectangle, mean, precision_scaled, *, tol: float = 
     prec = _check_spd(precision_scaled, "rectangle_probability: matrix")
     if method not in ("auto", "quad", "mc"):
         raise DomainError(f"rectangle_probability: unknown method {method!r}")
-    if method == "mc" or (method == "auto" and mean.size > 3):
-        if method == "auto":
-            raise DomainError(
-                "rectangle_probability: quadrature supports n <= 3; pass method='mc'")
+    if method != "mc" and mean.size > 3:
+        raise DomainError("rectangle_probability: quadrature supports n <= 3; pass method='mc'")
+    if method == "mc":
         rng = np.random.default_rng(seed)
         chol = np.linalg.cholesky(prec)
         z = rng.standard_normal((n_samples, mean.size))

@@ -249,8 +249,8 @@ def test_criterion_10_cli_contract(capsys):
             assert proc.returncode == 0, (argv, proc.stderr)
             jsonschema.validate(json.loads(proc.stdout), SCHEMA)
 
-        fail = run_cli("verify", "--k", "3", "--mu", "1.3", "--sigma", "0.5",
-                       "--nu", "8", "--tol", "0")
+        fail = run_cli("verify", "--k", "4,0", "--nu", "12", "--mode", "literal",
+                       "--method", "mc", "--samples", "100000", "--seed", "1")
         assert fail.returncode == 1
 
         usage = run_cli("multi", "--k", "2,2", "--nu", "9", "--sigma-mat", "[[1,0],[0,1]")

@@ -167,14 +167,21 @@ class TestExitCodes:
         assert run_cli("truncated", "--k", "1,1,0,2", "--nu", "10").returncode == 0
 
     def test_verify_failure_is_one(self):
-        # zero tolerance: the formula and quadrature values differ in the last
-        # few ulps, so the check must report a mismatch
-        proc = run_cli("verify", "--kind", "raw", "--k", "3", "--mu", "1.3",
-                       "--sigma", "0.5", "--nu", "8", "--tol", "0")
+        # the literal recursion is biased at total degree 4: it gives
+        # 3 nu^2/(nu-2)^2 = 4.32 where the moment is 3 nu^2/((nu-2)(nu-4)) = 5.4,
+        # far outside four Monte Carlo standard errors
+        proc = run_cli("verify", "--k", "4,0", "--nu", "12", "--mode", "literal",
+                       "--method", "mc", "--samples", "100000", "--seed", "1")
         assert proc.returncode == 1
         assert "FAIL" in proc.stderr
         payload = json.loads(proc.stdout)
         assert payload["diagnostics"]["passed"] is False
+
+    def test_nan_location_is_two(self):
+        proc = run_cli("one-d", "--k", "2", "--mu", "nan", "--nu", "9")
+        assert proc.returncode == 2
+        assert "mu must not be NaN" in proc.stderr
+        assert proc.stdout == ""
 
     def test_invalid_env_seed_is_two(self):
         proc = run_cli("oracle", "--k", "1", "--nu", "9", "--method", "mc",

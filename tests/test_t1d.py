@@ -11,11 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tmoments.errors import DomainError, NonConvergenceError
+from tmoments.errors import DomainError, NonConvergenceError, UndefinedMomentError
+from tmoments.normal_moments import (GammaParams, NormalParams, gamma_moment, normal_abs_moment,
+                                     normal_central_moment, normal_raw_moment)
 from tmoments.oracle import mixture_pdf_1d, quad_moment_1d
 from tmoments.t1d import (TParams1D, abs_moment, abs_moment_standard, central_abs_moment,
                           central_moment, precision_from_scale, raw_from_central,
                           raw_moment, raw_moment_standard, scale_from_precision, t_pdf)
+from tmoments.tnd import TParamsND, std_abs_moment_nd, std_raw_moment_nd
 
 PARAMS = [TParams1D(0.0, 1.0, 5.0), TParams1D(-2.0, 0.5, 2.5), TParams1D(1.3, 4.0, 8.0),
           TParams1D(1.0, 2.0, 3.0), TParams1D(-0.7, 0.8, 30.0)]
@@ -242,6 +245,47 @@ class TestEvenOrderScale:
             assert math.isclose(fn(k, p).value, ref, rel_tol=1e-14)
 
 
+def _mp_abs_scale(k, sigma, nu):
+    # E|T - mu|^k
+    k, s, n = mpmath.mpf(k), mpmath.mpf(sigma), mpmath.mpf(nu)
+    return ((n / s) ** (k / 2) * mpmath.gamma((k + 1) / 2) * mpmath.gamma((n - k) / 2)
+            / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(n / 2)))
+
+
+class TestOddOrderScale:
+    """Odd orders use E|T - mu| times prod 2i (nu / (nu - 1 - 2i)) / sigma.
+
+    E|T - mu| carries the lgamma difference log Gamma((nu-1)/2) - log Gamma(nu/2),
+    so the error grows with nu (ROADMAP item 5); below nu = 500 it stays under 1e-12.
+    """
+
+    @pytest.mark.parametrize("k, sigma, nu", [(301, 1.73e4, 301.5), (39, 1.7e17, 40.9)])
+    def test_small_normal_factor_large_mixing_factor(self, k, sigma, nu):
+        # The normal moment E|X|^k, X ~ N(0, 1/sigma), is 9.7e-331 and 5.2e-314:
+        # alone it underflows or is subnormal, while the mixing moment
+        # E(lambda^(-k/2)) is 1.5e66 and 8.0e7, so the values are 1.45e-264 and
+        # 4.14e-306.
+        with mpmath.workdps(40):
+            ref = _mp_abs_scale(k, sigma, nu)
+        p = TParams1D(0.0, sigma, nu)
+        for fn in (central_abs_moment, abs_moment):
+            got = fn(k, p).value
+            assert abs(got - ref) <= 1e-13 * ref, (fn.__name__, got, ref)
+
+    @given(st.integers(0, 200), st.floats(-3.0, 2.0), st.floats(-300.0, 300.0))
+    @settings(max_examples=200, deadline=None)
+    def test_against_mpmath_near_the_order(self, q, log_gap, log_value):
+        # nu just above k = 2q + 1; sigma picked so that the value is 10^log_value
+        k = 2 * q + 1
+        nu = k + 10.0 ** log_gap
+        with mpmath.workdps(40):
+            sigma = float((_mp_abs_scale(k, 1, nu) / mpmath.mpf(10) ** log_value) ** (2.0 / k))
+            assume(0.0 < sigma < math.inf)
+            ref = _mp_abs_scale(k, sigma, nu)
+        got = central_abs_moment(k, TParams1D(0.0, sigma, nu)).value
+        assert abs(got - ref) <= 1e-12 * ref, (got, mpmath.nstr(ref, 17))
+
+
 _TYPED_ERRORS = (DomainError, NonConvergenceError, OverflowError)
 
 
@@ -270,6 +314,172 @@ class TestOutcomeSweep:
             assert math.isfinite(res.value)
         else:
             assert math.isnan(res.value) and res.reason
+
+
+def _mp_normal_scale(k, variance):
+    # E|X - mean|^k for X ~ N(mean, variance)
+    k = mpmath.mpf(k)
+    return ((2 * mpmath.mpf(variance)) ** (k / 2) * mpmath.gamma((k + 1) / 2)
+            / mpmath.sqrt(mpmath.pi))
+
+
+def _mp_mixing_moment(m, nu):
+    # E(lambda^(-m)) for lambda ~ Gamma(nu/2, nu/2)
+    half = mpmath.mpf(nu) / 2
+    return half ** m * mpmath.gamma(half - m) / mpmath.gamma(half)
+
+
+def _mp_std_abs_nd(ks, nu):
+    out = _mp_mixing_moment(mpmath.mpf(sum(ks)) / 2, nu)
+    for ki in ks:
+        out *= _mp_normal_scale(ki, 1)
+    return out
+
+
+_SCALE_ERRORS = _TYPED_ERRORS + (UndefinedMomentError,)
+
+
+def _check_against(fn, ref, check_accuracy=True):
+    """One allowed outcome per input; a value in the double range within 1e-13 of ``ref``."""
+    try:
+        got = fn()
+    except _SCALE_ERRORS:
+        return
+    if hasattr(got, "defined"):
+        if not got.defined:
+            assert math.isnan(got.value) and got.reason
+            return
+        got = got.value
+    assert math.isfinite(got)
+    if not check_accuracy:
+        return
+    if abs(ref) > 1.7976931348623157e308:
+        pytest.fail(f"finite {got!r} for a value {mpmath.nstr(ref, 5)} beyond the double range")
+    if abs(ref) >= 2.2250738585072014e-308:
+        assert abs(got - ref) <= 1e-13 * abs(ref), (got, mpmath.nstr(ref, 17))
+    else:
+        assert abs(got) < 2.2250738585072014e-308, (got, mpmath.nstr(ref, 5))
+
+
+class TestScaleSweep:
+    """Every closed-form scale: a finite value close to mpmath, undefined, or a typed error.
+
+    The normal moments are a scale E|X - mean|^k times a confluent series. When
+    that scale alone lies outside the normal double range, a value inside it
+    can lose digits or fail (ROADMAP item 5, concentrated location), so there
+    only the outcome is checked. Odd total orders of std_abs_moment_nd take
+    the log-gamma ratio E(lambda^(-K/2)) at a half-integer order, whose loss
+    at large nu is pinned by test_half_integer_mixing_order_loses_digits.
+    """
+
+    @given(st.integers(0, 400), st.floats(-300.0, 300.0), st.floats(-10.0, 10.0),
+           st.sampled_from(["central", "raw", "abs"]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_normal_moments(self, k, log_var, loc, kind, absolute_loc):
+        variance = 10.0 ** log_var
+        mean = loc * 100.0 if absolute_loc else loc * math.sqrt(variance)
+        p = NormalParams(mean, variance)
+        with mpmath.workdps(40):
+            m, v = mpmath.mpf(mean), mpmath.mpf(variance)
+            if kind == "abs":
+                fn = normal_abs_moment
+                ref = _mp_normal_scale(k, v) * mpmath.hyp1f1(-mpmath.mpf(k) / 2, 0.5,
+                                                             -m * m / (2 * v))
+            else:
+                central = [0 if j % 2 else v ** (j // 2) * mpmath.fac2(j - 1)
+                           for j in range(k + 1)]
+                if kind == "central":
+                    fn, ref = normal_central_moment, central[k]
+                else:
+                    fn = normal_raw_moment
+                    ref = mpmath.fsum(mpmath.binomial(k, j) * m ** (k - j) * central[j]
+                                      for j in range(k + 1))
+            scale_in_range = 1e-300 < _mp_normal_scale(k - (kind == "raw" and k % 2), v) < 1e300
+            _check_against(lambda: fn(p, k), ref, scale_in_range or mean == 0.0)
+
+    @given(st.integers(-200, 200), st.floats(-3.0, 15.0), st.floats(-3.0, 15.0),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_gamma_integer_orders(self, k, log_alpha, log_beta, mixing):
+        # the product of |k| factors is within |k| rounding errors of the value
+        alpha = 10.0 ** log_alpha
+        beta = alpha if mixing else 10.0 ** log_beta
+        with mpmath.workdps(40):
+            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+            ref = b ** (-k) * mpmath.gamma(k + a) / mpmath.gamma(a) if k > -alpha else 0
+            _check_against(lambda: gamma_moment(GammaParams(alpha, beta), k), ref)
+
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=4), st.floats(-1.0, 2.0),
+           st.one_of(st.none(), st.floats(-3.0, 15.0)), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_standard_nd_moments(self, ks, near, log_nu, raw):
+        total = sum(ks)
+        nu = total + near if log_nu is None else 10.0 ** log_nu
+        assume(nu > 0)
+        fn = std_raw_moment_nd if raw else std_abs_moment_nd
+        with mpmath.workdps(40):
+            if total >= nu:
+                ref = 0
+            elif raw and any(ki % 2 for ki in ks):
+                ref = 0
+            else:
+                ref = _mp_std_abs_nd(ks, nu)
+            _check_against(lambda: fn(tuple(ks), nu), ref, check_accuracy=total % 2 == 0)
+
+    @pytest.mark.parametrize("k", [19_998, 20_002, 200_000])
+    def test_long_products(self, k):
+        # Every integer order is one product, however long. The values are near
+        # 1e100, where the product's rounding stays below 1e-12 while a
+        # log-gamma value of this size is about 1e-11 off.
+        with mpmath.workdps(40):
+            half = mpmath.mpf(k) / 2
+            variance = float(mpmath.exp((100 * mpmath.log(10) - mpmath.loggamma(half + 0.5)
+                                         + mpmath.log(mpmath.pi) / 2) / half) / 2)
+            normal_ref = _mp_normal_scale(k, variance)
+            alpha = (k / 2) ** 2 / 460.0
+            gamma_ref = _mp_mixing_moment(half, 2 * alpha)
+        got = normal_central_moment(NormalParams(0.0, variance), k)
+        assert abs(got - normal_ref) <= 1e-12 * normal_ref, (got, mpmath.nstr(normal_ref, 17))
+        got = gamma_moment(GammaParams(alpha, alpha), -k // 2)
+        assert abs(got - gamma_ref) <= 1e-12 * gamma_ref, (got, mpmath.nstr(gamma_ref, 17))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: Gamma(x - 1/2)/Gamma(x) is an "
+                                           "lgamma difference, which loses digits at large x")
+    def test_half_integer_mixing_order_loses_digits(self):
+        with mpmath.workdps(40):
+            ref = _mp_std_abs_nd((1,), 1e10)
+        assert math.isclose(std_abs_moment_nd((1,), 1e10).value, ref, rel_tol=1e-13)
+
+
+class TestScaleMixtureTable:
+    """Values that separate power and gamma factors got wrong, against 50-digit mpmath."""
+
+    @staticmethod
+    def _refs():
+        with mpmath.workdps(50):
+            nu = mpmath.mpf(10) ** 10
+            return {
+                "std_raw (2,) 1e14": _mp_std_abs_nd((2,), 1e14),
+                "std_raw (2,2) 1e10": _mp_std_abs_nd((2, 2), 1e10),
+                "std_abs (1,1) 1e14": _mp_std_abs_nd((1, 1), 1e14),
+                "raw 3 (1,1,1e10)": 1 + 3 * nu / (nu - 2),
+                "gamma (5e9,5e9) -1": _mp_mixing_moment(1, 1e10),
+                "normal central 200": _mp_normal_scale(200, mpmath.mpf("0.01")),
+                "normal abs 400": _mp_normal_scale(400, mpmath.mpf("0.001")),
+            }
+
+    def test_values_against_mpmath(self):
+        got = {
+            "std_raw (2,) 1e14": std_raw_moment_nd((2,), 1e14).value,
+            "std_raw (2,2) 1e10": std_raw_moment_nd((2, 2), 1e10).value,
+            "std_abs (1,1) 1e14": std_abs_moment_nd((1, 1), 1e14).value,
+            "raw 3 (1,1,1e10)": raw_moment(3, TParams1D(1.0, 1.0, 1e10)).value,
+            "gamma (5e9,5e9) -1": gamma_moment(GammaParams(5e9, 5e9), -1),
+            "normal central 200": normal_central_moment(NormalParams(0.0, 0.01), 200),
+            "normal abs 400": normal_abs_moment(NormalParams(0.0, 0.001), 400),
+        }
+        for name, ref in self._refs().items():
+            assert abs(got[name] - ref) <= 1e-14 * abs(ref), (name, got[name], ref)
 
 
 class TestMomentResultProtocol:
@@ -317,6 +527,16 @@ class TestParameterization:
             precision_from_scale(0.0)
         with pytest.raises(DomainError):
             scale_from_precision(-1.0)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: TParams1D(math.nan, 1.0, 9.0), "mu"),
+    (lambda: NormalParams(math.nan, 1.0), "mean"),
+    (lambda: TParamsND([0.0, math.nan], np.eye(2), 9.0), "mu"),
+])
+def test_nan_location_is_rejected(make, name):
+    with pytest.raises(DomainError, match=name):
+        make()
 
 
 class TestDensity:

@@ -173,6 +173,9 @@ class TestRectangleProbability:
         prec = np.diag([1.0, 2.0, 0.5, 1.5])
         with pytest.raises(DomainError, match="method='mc'"):
             rectangle_probability(r, np.zeros(4), prec)
+        # quadrature has no 4-D rule either: it must not fall back to 2-D
+        with pytest.raises(DomainError, match="method='mc'"):
+            rectangle_probability(r, np.zeros(4), prec, method="quad")
         got = rectangle_probability(r, np.zeros(4), prec, method="mc",
                                     n_samples=400_000, seed=11)
         ref = 1.0
