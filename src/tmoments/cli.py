@@ -11,9 +11,10 @@ non-convergence, overflow (a value beyond the double range) or failed
 estimation. The oracle seed is taken from --seed, else the TMOMENT_SEED
 environment variable, else 12345.
 
-Each subcommand imports only the modules it needs: one-d and multi run on
-numpy alone, while truncated, oracle and verify load SciPy (through the
-truncated and oracle modules) when their request arrives.
+Each subcommand imports only the modules it needs: one-d, multi and 1-D
+corrected-mode truncated requests run on numpy alone, while other truncated
+requests, oracle and verify load SciPy (through the truncated and oracle
+modules) when their request arrives.
 """
 
 from __future__ import annotations
@@ -182,12 +183,18 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
-def _params_1d(args) -> TParams1D:
-    sigma = args.sigma
+def _sigma_arg(args) -> float | None:
+    """The 1-D sigma from --sigma or --scale (sigma = 1/s^2), None if neither."""
+    sigma = getattr(args, "sigma", None)
     if getattr(args, "scale", None) is not None:
         if sigma is not None:
             raise _UsageError("give either --sigma or --scale, not both")
         sigma = t1d.precision_from_scale(args.scale)
+    return sigma
+
+
+def _params_1d(args) -> TParams1D:
+    sigma = _sigma_arg(args)
     if sigma is None:
         sigma = 1.0
     mu = _parse_scalar(args.mu, "--mu") if args.mu is not None else 0.0
@@ -203,10 +210,11 @@ def _params_nd(args, dim: int) -> TParamsND:
     mu = _parse_floats(args.mu, "--mu") if args.mu is not None else [0.0] * dim
     if len(mu) != dim:
         raise _UsageError(f"--mu has {len(mu)} entries, expected {dim}")
-    if getattr(args, "sigma", None) is not None:
+    sigma = _sigma_arg(args)
+    if sigma is not None:
         if dim != 1 or args.sigma_mat is not None or getattr(args, "sigma_file", None):
-            raise _UsageError("--sigma applies only to one-dimensional requests")
-        mat = np.array([[args.sigma]])
+            raise _UsageError("--sigma and --scale apply only to one-dimensional requests")
+        mat = np.array([[sigma]])
     else:
         mat = _parse_matrix(args, dim)
     try:
@@ -438,7 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     trunc.add_argument("--sigma", type=float, default=None,
                        help="1-D shortcut for --sigma-mat [[sigma]]")
     trunc.add_argument("--tol", type=float, default=1e-9,
-                       help="absolute tolerance of the mixing quadrature")
+                       help="absolute tolerance of the mixing quadrature (2-D, 3-D and "
+                            "literal mode; 1-D corrected moments are closed-form and do "
+                            "not use it)")
     _add_nd_params(trunc)
     _add_format(trunc)
 

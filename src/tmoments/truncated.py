@@ -3,17 +3,33 @@
 F_k(a, b) = integral over the rectangle of t^k times the density, left
 unnormalized (divide by the order-0 value to condition on the rectangle).
 
-One recursion engine serves every route. Differentiating a normal density
-moves one coordinate's exponent down and spawns (n-1)-dimensional moments on
-the two faces of that coordinate, with conditional mean and covariance given
-by the Schur complement (Kan & Robotti 2017). The engine takes a step
-coefficient and an order-zero mass function, and its faces inherit both:
+In one dimension ``trunc_t_moment`` is closed-form. The mass is a
+regularized incomplete beta (``specfun._t_halves``), and higher orders follow
+from the 1-D t-level recurrence of Galarza, Lin, Wang & Lachos (2021, Metrika
+84): with q(t) = nu/sigma + (t - mu)^2 and g the density,
+
+    (nu - k) F_k = mu (nu + 1 - 2k) F_(k-1) + (k - 1)(mu^2 + nu/sigma) F_(k-2)
+                   - [t^(k-1) q(t) g(t)]_a^b,   F_(-1) = 0.
+
+A running bound on its rounding error goes along; where the bound exceeds
+1e-12 of the value (boxes whose reach in |t| is short of |mu| plus a few
+scale units, where the moments fall behind the recurrence's growing
+solutions), Gauss-Legendre panels give the orders >= 1 instead. This route
+needs no SciPy.
+
+One recursion engine serves every other route. Differentiating a normal
+density moves one coordinate's exponent down and spawns (n-1)-dimensional
+moments on the two faces of that coordinate, with conditional mean and
+covariance given by the Schur complement (Kan & Robotti 2017). The engine
+takes a step coefficient and an order-zero mass function, and its faces
+inherit both:
 
 * ``trunc_normal_moment``: coefficient 1, mass the normal rectangle
   probability.
-* ``trunc_t_moment`` (``corrected`` mode): the normal engine at each value of
-  the gamma mixing variable, averaged by adaptive quadrature over that
-  variable. This is exact up to the quadrature error.
+* ``trunc_t_moment`` (``corrected`` mode, n >= 2): the normal engine at each
+  value of the gamma mixing variable, averaged by adaptive quadrature over
+  that variable. This is exact up to the quadrature error. In 1-D the same
+  mixture (``_t_mixture``) is the test oracle of the closed route.
 * ``trunc_t_moment_literal`` (``literal`` mode): the engine run directly at
   the t level with the averaged coefficient nu/(nu-2) and a t-free boundary
   density; its mass is the gamma-mixture probability of the box or face. It
@@ -22,26 +38,38 @@ coefficient and an order-zero mass function, and its faces inherit both:
 The normal rectangle probability behind every mass is exact in 1-D (erf)
 and 2-D (Owen's T function, Owen 1956); in 3-D it is one adaptive integral of
 the exact 2-D probability of the conditional pair over the first axis (Genz
-2004). Boxes with a finite bound are therefore limited to n <= 3.
+2004). Boxes with a finite bound are therefore limited to n <= 3. SciPy
+(QUADPACK through ``oracle``, Owen's T, triangular solves) is imported inside
+the functions of these 2-D, 3-D and Monte Carlo paths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import owens_t
 
-from .errors import DomainError
-from .normal_moments import GammaParams
-from .oracle import QuadResult, _run_quad, gamma_pdf, normal_pdf
+from .errors import DomainError, NonConvergenceError
+from .specfun import MAX_SERIES_TERMS, _gamma_half_ratio, _t_halves
 from .t1d import DEFAULT_SEED, MomentResult, _undefined
 from .tnd import MultiIndex, TParamsND, _check_spd, _spd_inverse
 
+if TYPE_CHECKING:
+    from .oracle import QuadResult
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_EPS = 2.0 ** -53
+
+#: A 1-D recurrence value whose rounding bound exceeds this share of the value
+#: is replaced by Gauss-Legendre panels.
+_RECURRENCE_RTOL = 1e-12
+
+
+def _normal_pdf(x: float, mean: float, variance: float) -> float:
+    return math.exp(-((x - mean) ** 2) / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,14 +108,14 @@ def _std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _owen_term(h: float, num: float, r: float) -> float:
+def _owen_term(h: float, num: float, r: float, owens_t) -> float:
     # T(h, num / (h r)); at h = 0 the argument is +-inf and T(0, +-inf) = +-1/4.
     if h == 0.0:
         return math.copysign(0.25, num)
     return float(owens_t(h, num / (h * r)))
 
 
-def _bvn_cdf(h: float, k: float, rho: float) -> float:
+def _bvn_cdf(h: float, k: float, rho: float, owens_t) -> float:
     """P(Z1 <= h, Z2 <= k) for standard normals at correlation rho (Owen 1956)."""
     if h == -math.inf or k == -math.inf:
         return 0.0
@@ -99,7 +127,7 @@ def _bvn_cdf(h: float, k: float, rho: float) -> float:
         return 0.25 + math.asin(rho) / (2.0 * math.pi)
     r = math.sqrt((1.0 - rho) * (1.0 + rho))
     val = (0.5 * (_std_normal_cdf(h) + _std_normal_cdf(k))
-           - _owen_term(h, k - rho * h, r) - _owen_term(k, h - rho * k, r))
+           - _owen_term(h, k - rho * h, r, owens_t) - _owen_term(k, h - rho * k, r, owens_t))
     if (h < 0.0) != (k < 0.0):
         val -= 0.5
     return val
@@ -107,14 +135,17 @@ def _bvn_cdf(h: float, k: float, rho: float) -> float:
 
 def _bvn_box(lo1: float, hi1: float, lo2: float, hi2: float, rho: float) -> float:
     """P(lo < Z < hi) for a standard normal pair at correlation rho."""
+    # Imported here, not at the top, so 1-D requests load no SciPy.
+    from scipy.special import owens_t
+
     # An axis whose interval lies mostly above the mean is reflected, so the
     # corner values are lower-tail probabilities instead of values near 1.
     if lo1 + hi1 > 0.0:
         lo1, hi1, rho = -hi1, -lo1, -rho
     if lo2 + hi2 > 0.0:
         lo2, hi2, rho = -hi2, -lo2, -rho
-    p = ((_bvn_cdf(hi1, hi2, rho) - _bvn_cdf(lo1, hi2, rho))
-         - (_bvn_cdf(hi1, lo2, rho) - _bvn_cdf(lo1, lo2, rho)))
+    p = ((_bvn_cdf(hi1, hi2, rho, owens_t) - _bvn_cdf(lo1, hi2, rho, owens_t))
+         - (_bvn_cdf(hi1, lo2, rho, owens_t) - _bvn_cdf(lo1, lo2, rho, owens_t)))
     return max(p, 0.0)
 
 
@@ -127,6 +158,8 @@ def _tvn_box(a: list[float], b: list[float], mean: list[float], cov: list[list[f
     standard normal density, on infinite ranges where a bound is infinite,
     gives the rest.
     """
+    from .oracle import _run_quad
+
     s0 = math.sqrt(cov[0][0])
     z_lo, z_hi = (a[0] - mean[0]) / s0, (b[0] - mean[0]) / s0
     c1, c2 = cov[0][1] / s0, cov[0][2] / s0
@@ -216,11 +249,11 @@ class _Recursion:
         reduced = base[:j] + base[j + 1:]
         aj = self.a[j]
         if not math.isinf(aj):
-            out += (aj ** base[j] * normal_pdf(aj, self.mean[j], self.var[j])
+            out += (aj ** base[j] * _normal_pdf(aj, self.mean[j], self.var[j])
                     * self._face_moment(j, 0, reduced))
         bj = self.b[j]
         if not math.isinf(bj):
-            out -= (bj ** base[j] * normal_pdf(bj, self.mean[j], self.var[j])
+            out -= (bj ** base[j] * _normal_pdf(bj, self.mean[j], self.var[j])
                     * self._face_moment(j, 1, reduced))
         return out
 
@@ -249,15 +282,143 @@ def _t_mixture(k: tuple[int, ...], a: np.ndarray, b: np.ndarray, mean: np.ndarra
     QUADPACK can accept a single 21-point panel whose error estimate is far
     below its true error.
     """
-    mixing = GammaParams(nu / 2.0, nu / 2.0)
+    from .oracle import _run_quad
+
     mass = partial(_rect_prob_cov, tol=max(tol * 1e-2, 1e-11))
+    # Gamma(t | alpha, rate alpha) density, alpha = nu/2
+    alpha = nu / 2.0
+    log_norm = alpha * math.log(alpha) - math.lgamma(alpha)
 
     def mixed(u: float) -> float:
         t = u / (1.0 - u)
         problem = _Recursion(a, b, mean, cov / t, mass)
-        return problem.moment(k) * gamma_pdf(t, mixing) / (1.0 - u) ** 2
+        density = math.exp(log_norm + (alpha - 1.0) * math.log(t) - alpha * t) if t > 0.0 else 0.0
+        return problem.moment(k) * density / (1.0 - u) ** 2
 
     return _run_quad(mixed, 0.0, 1.0, tol, points=[0.5])
+
+
+def _t_orders_1d(kmax: int, a: float, b: float, mu: float, sigma: float,
+                 nu: float) -> tuple[float, dict]:
+    """F_kmax = integral of t^kmax over [a, b] against the 1-D t density, kmax < nu.
+
+    F_0 is the incomplete-beta mass. With q(t) = nu/sigma + (t - mu)^2 and g
+    the density, integrating d/dt [t^(k-1) q g] over [a, b] gives the t-level
+    recurrence of Galarza, Lin, Wang & Lachos (2021, Metrika 84)
+
+        (nu - k) F_k = mu (nu + 1 - 2k) F_(k-1) + (k - 1)(mu^2 + nu/sigma) F_(k-2)
+                       - [t^(k-1) q(t) g(t)]_a^b,
+
+    with F_(-1) = 0 and no boundary term at an infinite bound; q g is
+    sqrt(nu/sigma) norm (1 + z^2/nu)^(-(nu-1)/2) at z = (t - mu) sqrt(sigma).
+    A running first-order bound on the rounding error goes along. The
+    recurrence loses digits where the moments fall behind its growing
+    solutions, on boxes whose reach in |t| is short of |mu| plus a few scale
+    units; when the bound exceeds 1e-12 of the value, orders >= 1 come from
+    Gauss-Legendre panels instead.
+    """
+    root = math.sqrt(sigma)
+    norm = _gamma_half_ratio(0.5 * nu) / math.sqrt(math.pi)
+
+    def split(t: float):
+        # z, P(T <= z), P(T > z), the absolute error of both, fraction terms
+        z = (t - mu) * root if math.isfinite(t) else t
+        centre, tail, err, terms = _t_halves(abs(z), nu, norm)
+        return (z, tail, 0.5 + centre, err, terms) if z < 0.0 else (z, 0.5 + centre, tail, err, terms)
+
+    za, lo_a, up_a, err_a, terms_a = split(a)
+    zb, lo_b, up_b, err_b, terms_b = split(b)
+    if zb <= 0.0:
+        f0, size = lo_b - lo_a, lo_b + lo_a
+    elif za >= 0.0:
+        f0, size = up_a - up_b, up_a + up_b
+    else:
+        f0, size = 1.0 - lo_a - up_b, 1.0 + lo_a + up_b
+    mass_error = err_a + err_b + 2.0 * _EPS * size
+    diag = {"beta_terms": terms_a + terms_b, "beta_error": mass_error}
+
+    def boundary(t: float, z: float) -> tuple[float, float]:
+        # q g at t and the relative error of its exponential
+        if not math.isfinite(t):
+            return 0.0, 0.0
+        expo = 0.5 * (nu - 1.0) * math.log1p(z * z / nu)
+        value = math.sqrt(nu / sigma) * norm * math.exp(-expo)
+        if not value:
+            return 0.0, 0.0
+        cond = abs(nu - 1.0) * abs(z) / (nu + z * z) * (abs(t) + abs(mu)) * root
+        return value, abs(expo) + cond + 4.0
+
+    g_a, kappa_a = boundary(a, za)
+    g_b, kappa_b = boundary(b, zb)
+    # t^(k-1) q g, advanced by one factor of t per order; zero at an infinite bound
+    step_a = a if g_a else 0.0
+    step_b = b if g_b else 0.0
+    spread = mu * mu + nu / sigma
+    prev2, prev, err2, err = 0.0, f0, 0.0, mass_error
+    for k in range(1, kmax + 1):
+        c1 = mu * (nu + 1.0 - 2.0 * k)
+        t1, t2 = c1 * prev, (k - 1) * spread * prev2
+        val = (t1 + t2 + g_a - g_b) / (nu - k)
+        err2, err = err, ((abs(c1) * err + (k - 1) * spread * err2
+                           + _EPS * (3.0 * (abs(t1) + abs(t2)) + (kappa_a + k) * abs(g_a)
+                                     + (kappa_b + k) * abs(g_b))) / (nu - k)
+                          + _EPS * abs(val))
+        prev2, prev = prev, val
+        g_a *= step_a
+        g_b *= step_b
+    diag["recurrence_error"] = err
+    if err <= _RECURRENCE_RTOL * abs(prev):
+        return prev, diag
+    value, panels = _t_panels_1d(kmax, za, zb, mu, 1.0 / root, nu, norm)
+    diag["quadrature_panels"] = panels
+    return value, diag
+
+
+@cache
+def _legendre_nodes() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(16)
+
+
+def _t_panels_1d(k: int, za: float, zb: float, mu: float, scale: float, nu: float,
+                 norm: float) -> tuple[float, int]:
+    """Integral of (mu + scale z)^k f(z) over [za, zb] for the standard t density f.
+
+    16-point Gauss-Legendre panels are laid out from the point of the box
+    nearest the mode, each about one e-fold of f wide, (nu + z^2) /
+    ((nu + 1)|z| + sqrt((nu + 1)(nu + z^2))): unit width near the mode,
+    proportional to 1/|z| in a normal-like tail and to |z| in a power-law
+    tail. A side stops at its bound, or once the rest of the side, bounded by
+    the envelope (|mu| + scale |z|)^k f(z) over its decay length, is below
+    1e-18 of the running integral of |t|^k f.
+    """
+    start = min(max(0.0, za), zb)
+    edges = []
+    for end, sign in ((za, -1.0), (zb, 1.0)):
+        z, acc, side = start, 0.0, []
+        while z != end:
+            if len(side) == MAX_SERIES_TERMS:
+                raise NonConvergenceError(
+                    f"trunc_t_moment: the quadrature panels did not settle within "
+                    f"{MAX_SERIES_TERMS} panels", value=math.nan, est_error=math.inf,
+                    iterations=MAX_SERIES_TERMS)
+            az = abs(z)
+            width = (nu + z * z) / ((nu + 1.0) * az + math.sqrt((nu + 1.0) * (nu + z * z)))
+            z = end if (z + sign * width - end) * sign >= 0.0 else z + sign * width
+            side.append(z)
+            az = abs(z)
+            density = math.exp(-0.5 * (nu + 1.0) * math.log1p(z * z / nu))
+            acc += abs(mu + scale * z) ** k * density * width
+            reach = abs(mu) / scale + az
+            decay = (nu + 1.0) * az / (nu + z * z) - k / reach
+            if decay > 0.0 and (scale * reach) ** k * density / decay <= 1e-18 * acc:
+                break
+        edges.append(side)
+    bounds = np.array(edges[0][::-1] + [start] + edges[1])
+    nodes, weights = _legendre_nodes()
+    half = 0.5 * np.diff(bounds)
+    z = (0.5 * (bounds[1:] + bounds[:-1]))[:, None] + half[:, None] * nodes
+    f = (norm / math.sqrt(nu)) * np.exp(-0.5 * (nu + 1.0) * np.log1p(z * z / nu))
+    return math.fsum(((mu + scale * z) ** k * f * (half[:, None] * weights)).ravel()), half.size
 
 
 def _check_box(name: str, k, r: Rectangle, dim: int) -> MultiIndex:
@@ -290,6 +451,8 @@ def rectangle_probability(r: Rectangle, mean, precision_scaled, *, tol: float = 
     if method != "mc" and mean.size > 3:
         raise DomainError("rectangle_probability: quadrature supports n <= 3; pass method='mc'")
     if method == "mc":
+        from scipy.linalg import solve_triangular
+
         rng = np.random.default_rng(seed)
         chol = np.linalg.cholesky(prec)
         z = rng.standard_normal((n_samples, mean.size))
@@ -315,15 +478,31 @@ def trunc_normal_moment(k, r: Rectangle, mean, precision_scaled) -> float:
 
 
 def trunc_t_moment(k, r: Rectangle, p: TParamsND, *, tol: float = 1e-9) -> MomentResult:
-    """Unnormalized truncated t moment by gamma-mixture quadrature.
+    """Unnormalized truncated t moment E(1_rect prod T_i^(k_i)).
 
-    For each mixing value t the conditional normal problem N(mu, (t Sigma)^(-1))
-    is solved by the moment recursion; the results are integrated against
-    Gamma(t | nu/2, nu/2), with (0, inf) mapped to (0, 1) by t = u/(1-u).
+    In one dimension the moment is closed-form (formula ``trunc-recurrence``):
+    the mass is a regularized incomplete beta and higher orders follow from
+    the t-level recurrence (see :func:`_t_orders_1d`); ``tol`` is not used.
+    The diagnostics give the fraction's terms (``beta_terms``), the estimated
+    absolute error of the mass (``beta_error``), a first-order bound on the
+    recurrence's rounding error (``recurrence_error``) and, where that bound
+    exceeded 1e-12 of the value and Gauss-Legendre panels gave the value
+    instead, their count (``quadrature_panels``).
+
+    In two and three dimensions (formula ``trunc-mixture``) the conditional
+    normal problem N(mu, (t Sigma)^(-1)) is solved by the moment recursion for
+    each mixing value t, and the results are integrated against
+    Gamma(t | nu/2, nu/2), with (0, inf) mapped to (0, 1) by t = u/(1-u), to
+    absolute error ``tol``.
     """
     k = _check_box("trunc_t_moment", k, r, p.dim)
+    formula = "trunc-recurrence" if p.dim == 1 else "trunc-mixture"
     if k.total >= p.nu:
-        return _undefined("trunc-mixture", "corrected")
+        return _undefined(formula, "corrected")
+    if p.dim == 1:
+        value, diag = _t_orders_1d(k.total, float(r.lower[0]), float(r.upper[0]),
+                                   float(p.mu[0]), float(p.sigma_mat[0, 0]), float(p.nu))
+        return MomentResult(value, formula=formula, mode="corrected", diagnostics=diag)
     quad_res = _t_mixture(k.k, r.lower, r.upper, p.mu, p.precision_inverse(), p.nu, tol)
     return MomentResult(quad_res.value, formula="trunc-mixture", mode="corrected",
                         diagnostics={"quad_abs_error": quad_res.est_abs_error,

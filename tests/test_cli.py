@@ -44,9 +44,9 @@ class TestSchema:
 
     def test_truncated(self):
         payload = run_json("truncated", "--k", "1", "--lower", "0", "--nu", "2")
-        assert abs(payload["value"] - math.sqrt(2.0) / 2.0) < 1e-9
-        assert payload["formula"] == "trunc-mixture"
-        assert payload["diagnostics"]["quad_abs_error"] < 1e-8
+        assert abs(payload["value"] - math.sqrt(2.0) / 2.0) < 1e-15
+        assert payload["formula"] == "trunc-recurrence"
+        assert payload["diagnostics"]["recurrence_error"] < 1e-15
 
     def test_oracle(self):
         payload = run_json("oracle", "--kind", "raw", "--k", "2", "--nu", "5",
@@ -285,6 +285,24 @@ class TestConventionsAndFiles:
         b = run_json("one-d", "--kind", "central", "--k", "2", "--nu", "6",
                      "--sigma", "0.25")
         assert a["value"] == b["value"]
+
+    def test_scale_flag_on_truncated_verify(self):
+        # the formula once ignored --scale here and compared sigma = 1 with
+        # the oracle's sigma = 0.25 (FAIL, exit 1)
+        payload = run_json("verify", "--k", "2", "--scale", "2", "--lower", "0", "--nu", "9",
+                           "--method", "mc", "--samples", "20000")
+        assert payload["diagnostics"]["passed"] is True
+        direct = run_json("truncated", "--k", "2", "--sigma", "0.25", "--lower", "0", "--nu", "9")
+        assert payload["value"] == direct["value"]
+
+    @pytest.mark.parametrize("argv", [
+        ("--k", "2", "--scale", "2", "--sigma", "1", "--lower", "0", "--nu", "9"),
+        ("--k", "1,0", "--scale", "2", "--nu", "9"),
+    ])
+    def test_scale_conflicts_on_verify_are_two(self, argv):
+        proc = run_cli("verify", *argv)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "--scale" in proc.stderr
 
 
 class TestComputedValues:

@@ -1,8 +1,9 @@
 """Import budget and the lazy package namespace.
 
-The closed-form paths must not pay for SciPy: ``import tmoments`` and the
-``one-d`` and ``multi`` subcommands load no ``scipy`` module. The checks run
-in fresh interpreters and compare module sets, so they do not depend on time.
+The closed-form paths must not pay for SciPy: ``import tmoments``, the
+``one-d`` and ``multi`` subcommands and 1-D ``truncated`` requests load no
+``scipy`` module. The checks run in fresh interpreters and compare module
+sets, so they do not depend on time.
 """
 
 import json
@@ -52,9 +53,18 @@ class TestImportBudget:
     def test_closed_form_subcommands_load_no_scipy(self, argv):
         assert heavy_modules_after(_RUN_CLI.format(argv=argv)) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["truncated", "--k", "1", "--lower", "0", "--nu", "5"],
+        ["truncated", "--k", "2", "--lower=-1", "--upper", "2", "--mu", "0.2",
+         "--sigma", "1.3", "--nu", "7"],
+    ])
+    def test_one_dimensional_truncated_loads_no_scipy(self, argv):
+        assert heavy_modules_after(_RUN_CLI.format(argv=argv)) == []
+
     def test_truncated_subcommand_loads_scipy(self):
-        # The probe must see SciPy where it is needed, or the checks above prove nothing.
-        argv = ["truncated", "--k", "1", "--lower", "0", "--nu", "5"]
+        # The probe must see SciPy where it is needed, or the checks above
+        # prove nothing: a 2-D box integrates over the gamma mixing law.
+        argv = ["truncated", "--k", "1,0", "--lower", "0,0", "--nu", "5"]
         loaded = heavy_modules_after(_RUN_CLI.format(argv=argv))
         assert "scipy.integrate" in loaded and "tmoments.oracle" in loaded
 

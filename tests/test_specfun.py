@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mp_incomplete_beta
+
 from tmoments.errors import DomainError, NonConvergenceError
-from tmoments.specfun import (MAX_SERIES_TERMS, _series, gamma_ratio, hyp1f1, hyp2f1, log_gamma,
-                              rising_factorial)
+from tmoments.specfun import (MAX_SERIES_TERMS, _gamma_half_ratio, _series, _t_halves, gamma_ratio,
+                              hyp1f1, hyp2f1, log_gamma, rising_factorial)
 
 mpmath.mp.dps = 40
 
@@ -113,6 +115,12 @@ class TestGammaRatio:
         ref = float(mpmath.gamma(160.5) / mpmath.gamma(150.5))
         assert math.isfinite(val)
         assert rel_err(val, ref) < 1e-12
+
+    @pytest.mark.parametrize("x", [1e-3, 0.25, 0.5, 3.5, 9.99, 10.0, 19.0, 5e5, 5e11, 1e15])
+    def test_half_ratio_against_mpmath(self, x):
+        # lgamma differences lose this ratio's digits at large x (1e-9 at 5e5)
+        ref = float(mpmath.gamma(mpmath.mpf(x) + 0.5) / mpmath.gamma(x))
+        assert abs(_gamma_half_ratio(x) - ref) <= 1e-15 * ref
 
     @given(st.floats(0.1, 40.0), st.integers(0, 12))
     @settings(max_examples=60, deadline=None)
@@ -296,3 +304,30 @@ def test_hyp1f1_pinned_outputs(args, expected):
 def test_hyp2f1_pinned_outputs(args, expected):
     res = hyp2f1(*args)
     assert (res.value, res.terms_used, res.est_error, res.terminating) == expected
+
+
+class TestStudentTHalves:
+    """P(0 < T < x) and P(T > x) for the standard t from the incomplete-beta
+    fraction, against the 40-digit positive-term series."""
+
+    @staticmethod
+    def reference(x, nu):
+        x2, nu = mpmath.mpf(x) ** 2, mpmath.mpf(nu)
+        return (float(mp_incomplete_beta(0.5, nu / 2, x2 / (nu + x2)) / 2),
+                float(mp_incomplete_beta(nu / 2, 0.5, nu / (nu + x2)) / 2))
+
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 7.0, 38.0, 1e3, 1e6])
+    @pytest.mark.parametrize("x", [0.3, 1.0, 1.7, 2.0, 5.0, 30.0])
+    def test_both_halves_keep_relative_digits(self, x, nu):
+        centre, tail, error, terms = _t_halves(x, nu, _gamma_half_ratio(nu / 2) / math.sqrt(math.pi))
+        ref_centre, ref_tail = self.reference(x, nu)
+        assert abs(centre - ref_centre) <= 5e-15 * ref_centre
+        # the tail is 1/2 - centre only where it is at least 0.04; far out
+        # its digits go with the exponent (nu/2) log(1 + x^2/nu), 450 at most here
+        assert abs(tail - ref_tail) <= error <= 5e-13 * ref_tail
+        assert 0 < terms < 400
+
+    def test_ends(self):
+        norm = _gamma_half_ratio(2.5) / math.sqrt(math.pi)
+        assert _t_halves(0.0, 5.0, norm) == (0.0, 0.5, 0.0, 0)
+        assert _t_halves(math.inf, 5.0, norm) == (0.5, 0.0, 0.0, 0)

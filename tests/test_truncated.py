@@ -1,19 +1,21 @@
-"""Truncated moments: normal recursion, gamma-mixture t moments, literal mode."""
+"""Truncated moments: normal recursion, closed 1-D and gamma-mixture t moments, literal mode."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr
 
+from conftest import mp_incomplete_beta
 from tmoments.errors import DomainError
 from tmoments.normal_moments import NormalParams, normal_raw_moment
 from tmoments.oracle import mc_moment_nd, normal_pdf, quad_moment_1d, tensor_quad
 from tmoments.t1d import TParams1D
 from tmoments.tnd import TParamsND, raw_moment_nd, raw_moment_nd_literal, t_pdf_nd
-from tmoments.truncated import (Rectangle, rectangle_probability, trunc_normal_moment,
-                                trunc_t_moment, trunc_t_moment_literal)
+from tmoments.truncated import (Rectangle, _t_mixture, rectangle_probability,
+                                trunc_normal_moment, trunc_t_moment, trunc_t_moment_literal)
 
 INF = math.inf
 
@@ -354,6 +356,14 @@ class TestTruncT:
     def test_result_metadata(self):
         p = TParamsND([0.0], [[1.0]], 5.0)
         res = trunc_t_moment((1,), Rectangle([0.0], [2.0]), p)
+        assert res.formula == "trunc-recurrence"
+        assert res.mode == "corrected"
+        assert res.diagnostics["beta_terms"] > 0
+        assert 0 < res.diagnostics["beta_error"] < 1e-15
+        assert 0 < res.diagnostics["recurrence_error"] < 1e-15
+        assert "quadrature_panels" not in res.diagnostics
+        p2 = TParamsND([0.0, 0.0], np.eye(2), 5.0)
+        res = trunc_t_moment((1, 0), Rectangle([0.0, -1.0], [2.0, 1.0]), p2)
         assert res.formula == "trunc-mixture"
         assert res.mode == "corrected"
         assert res.diagnostics["quad_abs_error"] < 1e-9
@@ -361,14 +371,18 @@ class TestTruncT:
 
     def test_single_panel_error_bound_regression(self):
         # QUADPACK once accepted one 21-point panel here with a reported error
-        # of 9.1e-10 while the true error was 2.4e-7
+        # of 9.1e-10 while the true error was 2.4e-7; the mixture route is the
+        # 1-D oracle and the 2-D and 3-D route
         mu, sigma, nu = -0.2519651044839989, 1.4103820777639569, 19.01795762817592
         bounds = (-1.1988787579428704, 0.4695423072698557)
+        ref = quad_moment_1d("raw", 2, TParams1D(mu, sigma, nu), bounds=bounds, tol=1e-12)
+        mixed = _t_mixture((2,), np.array([bounds[0]]), np.array([bounds[1]]), np.array([mu]),
+                           np.array([[1.0 / sigma]]), nu, 1e-9)
+        assert abs(mixed.value - ref.value) <= 1e-10
+        assert abs(mixed.value - ref.value) <= mixed.est_abs_error + 1e-12
         got = trunc_t_moment((2,), Rectangle([bounds[0]], [bounds[1]]),
                              TParamsND([mu], [[sigma]], nu))
-        ref = quad_moment_1d("raw", 2, TParams1D(mu, sigma, nu), bounds=bounds, tol=1e-12)
-        assert abs(got.value - ref.value) <= 1e-10
-        assert abs(got.value - ref.value) <= got.diagnostics["quad_abs_error"] + 1e-12
+        assert abs(got.value - ref.value) <= 1e-12
 
     def test_dimension_check(self):
         p = TParamsND([0.0, 0.0], np.eye(2), 5.0)
@@ -376,6 +390,114 @@ class TestTruncT:
             trunc_t_moment((1,), Rectangle.full_space(2), p)
         with pytest.raises(DomainError, match="dimensions"):
             trunc_t_moment((1, 1), Rectangle([0.0], [1.0]), p)
+
+
+def _mp_box_moments(kmax, boxes, mu, sigma, nu):
+    """{(a, b): [F_0 .. F_kmax]} over the 1-D t at 50 digits.
+
+    The box's standardized moments integral x^j f(x) are incomplete betas,
+    int_0^z x^j f = E|X|^j I_(z^2/(nu+z^2))((j+1)/2, (nu-j)/2) / 2 and
+    int_z^inf x^j f = E|X|^j I_(nu/(nu+z^2))((nu-j)/2, (j+1)/2) / 2, taken
+    as centres or as tails so no small value is a difference; the binomial
+    expansion of t^k = (mu + x/sqrt(sigma))^k then cancels harmlessly at 50
+    digits.
+    """
+    with mpmath.workdps(50):
+        nu, mu, sd = mpmath.mpf(nu), mpmath.mpf(mu), 1 / mpmath.sqrt(mpmath.mpf(sigma))
+        scale = [nu ** (mpmath.mpf(j) / 2) * mpmath.gamma(mpmath.mpf(j + 1) / 2)
+                 * mpmath.gamma((nu - j) / 2) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(nu / 2))
+                 for j in range(kmax + 1)]
+        halves = {}
+
+        def half(j, z, tail):
+            # integral of x^j f over [z, inf) (tail) or [0, z], for z >= 0
+            key = (j, z, tail)
+            if key not in halves:
+                if mpmath.isinf(z) or z == 0:
+                    val = scale[j] / 2 if (z == 0) == tail else mpmath.mpf(0)
+                elif tail:
+                    val = scale[j] * mp_incomplete_beta((nu - j) / 2, mpmath.mpf(j + 1) / 2,
+                                                        nu / (nu + z * z)) / 2
+                else:
+                    val = scale[j] * mp_incomplete_beta(mpmath.mpf(j + 1) / 2, (nu - j) / 2,
+                                                        z * z / (nu + z * z)) / 2
+                halves[key] = val
+            return halves[key]
+
+        def box(j, za, zb):
+            if za >= 0:
+                return half(j, za, True) - half(j, zb, True)
+            if zb <= 0:
+                return (-1) ** j * (half(j, -zb, True) - half(j, -za, True))
+            if j % 2:
+                return half(j, -za, True) - half(j, zb, True)
+            return half(j, zb, False) + half(j, -za, False)
+
+        out = {}
+        for a, b in boxes:
+            za = -mpmath.inf if a == -INF else (mpmath.mpf(a) - mu) / sd
+            zb = mpmath.inf if b == INF else (mpmath.mpf(b) - mu) / sd
+            m = [box(j, za, zb) for j in range(kmax + 1)]
+            out[(a, b)] = [float(mpmath.fsum(mpmath.binomial(k, j) * mu ** (k - j) * sd ** j * m[j]
+                                             for j in range(k + 1))) for k in range(kmax + 1)]
+        return out
+
+
+class TestTruncT1D:
+    """The closed 1-D route: incomplete-beta mass, t-level recurrence, and
+    Gauss-Legendre panels where the recurrence's rounding bound is too large."""
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.5])
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0, 3.5, 7.0, 38.0, 1e3, 1e6])
+    def test_grid_against_mpmath(self, nu, sigma):
+        # bounds at 0, +-0.5, +-sqrt(nu/sigma), +-10 sqrt(nu/sigma) and +-inf,
+        # every order k < nu up to 12
+        s = math.sqrt(nu / sigma)
+        points = sorted({0.0, 0.5, -0.5, s, -s, 10.0 * s, -10.0 * s, -INF, INF})
+        kmax = min(12, math.ceil(nu) - 1)
+        atol = 1e-11 if nu <= 1e3 else 1e-9
+        boxes = [(a, b) for i, a in enumerate(points) for b in points[i + 1:]]
+        for mu in (0.0, -1.98, 3.0):
+            p = TParamsND([mu], [[sigma]], nu)
+            for (a, b), refs in _mp_box_moments(kmax, boxes, mu, sigma, nu).items():
+                one_sided = (a >= mu and a >= 0.0) or (b <= mu and b <= 0.0)
+                for k, ref in enumerate(refs):
+                    got = trunc_t_moment((k,), Rectangle([a], [b]), p).value
+                    where = (k, a, b, mu)
+                    assert abs(got - ref) <= atol * max(1.0, abs(ref)), where
+                    if nu <= 1e3 and one_sided and k % 2 == 0:
+                        assert abs(got - ref) <= 1e-8 * abs(ref), where
+
+    def test_far_box(self):
+        # the binomial expansion about mu was 6.9e-9 off here
+        p = TParamsND([-1.98], [[1.0]], 38.0)
+        got = trunc_t_moment((6,), Rectangle([1.77], [4.6]), p).value
+        ref = _mp_box_moments(6, [(1.77, 4.6)], -1.98, 1.0, 38.0)[(1.77, 4.6)][6]
+        assert abs(got - ref) <= 1e-14 * ref
+
+    def test_short_reach_uses_panels(self):
+        # [-0.5, 0] lies 3 to 3.5 scale units below mu: the moments shrink with
+        # k while the recurrence's solutions grow, and it kept 2 digits at k = 12
+        p = TParamsND([3.0], [[1.0]], 38.0)
+        res = trunc_t_moment((12,), Rectangle([-0.5], [0.0]), p)
+        assert res.diagnostics["recurrence_error"] > 1e-12 * res.value
+        assert res.diagnostics["quadrature_panels"] > 0
+        ref = _mp_box_moments(12, [(-0.5, 0.0)], 3.0, 1.0, 38.0)[(-0.5, 0.0)][12]
+        assert abs(res.value - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("k, bounds, mu, sigma, nu", [
+        (2, (-1.0, 2.0), 0.2, 1.3, 7.0),
+        (3, (0.4, INF), -0.7, 0.6, 9.5),
+        (4, (-INF, -0.2), 1.1, 2.0, 12.0),
+        (1, (-2.5, 3.0), -0.4, 0.8, 4.0),
+        (0, (0.3, 0.9), 0.0, 1.0, 0.7),
+    ])
+    def test_against_mixture_route(self, k, bounds, mu, sigma, nu):
+        lo, hi = bounds
+        got = trunc_t_moment((k,), Rectangle([lo], [hi]), TParamsND([mu], [[sigma]], nu)).value
+        mixed = _t_mixture((k,), np.array([lo]), np.array([hi]), np.array([mu]),
+                           np.array([[1.0 / sigma]]), nu, 1e-11).value
+        assert abs(got - mixed) <= 1e-9 * max(1.0, abs(mixed))
 
 
 class TestTruncTLiteral:
