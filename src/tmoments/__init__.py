@@ -22,11 +22,11 @@ _EXPORTS = {
                "UndefinedMomentError"),
     "normal_moments": ("GammaParams", "NormalParams", "gamma_moment", "normal_abs_moment",
                        "normal_central_moment", "normal_raw_moment"),
-    "oracle": ("McEstimate", "QuadResult", "mc_moment_nd", "mixture_pdf_1d", "quad_mass_nd",
+    "oracle": ("McEstimate", "mc_moment_nd", "mixture_pdf_1d", "quad_mass_nd",
                "quad_moment_1d", "sample_t_1d", "sample_t_nd"),
     "specfun": ("HypergeomEval", "gamma_ratio", "hyp1f1", "hyp2f1", "log_gamma",
                 "rising_factorial"),
-    "t1d": ("MomentResult", "TParams1D", "abs_moment", "abs_moment_standard",
+    "t1d": ("MomentResult", "QuadResult", "TParams1D", "abs_moment", "abs_moment_standard",
             "central_abs_moment", "central_moment", "precision_from_scale",
             "raw_from_central", "raw_moment", "raw_moment_standard", "scale_from_precision",
             "t_pdf"),

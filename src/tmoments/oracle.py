@@ -21,19 +21,10 @@ from scipy.linalg import solve_triangular
 
 from .errors import DomainError, EstimationError, NonConvergenceError
 from .normal_moments import GammaParams
-from .t1d import DEFAULT_SEED, KINDS, TParams1D, t_pdf
+from .t1d import DEFAULT_SEED, KINDS, QuadResult, TParams1D, t_pdf
 from .tnd import MultiIndex, TParamsND, t_pdf_nd
 
 _REL_FLOOR = 1e-11
-
-
-@dataclass(frozen=True)
-class QuadResult:
-    """A quadrature value with its reported error bound and evaluation count."""
-
-    value: float
-    est_abs_error: float
-    evaluations: int
 
 
 @dataclass(frozen=True)

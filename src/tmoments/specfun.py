@@ -131,16 +131,17 @@ def _gamma_half_ratio(x: float) -> float:
     while x < 10.0:
         scale *= x / (x + 0.5)
         x += 1.0
-
-    def stirling(y: float) -> float:
-        # sum_{n=1}^{6} B_2n / (2n (2n-1) y^(2n-1)); the next term is below 1e-15 for y >= 10
-        z = 1.0 / (y * y)
-        return (1.0 / 12.0 + z * (-1.0 / 360.0 + z * (1.0 / 1260.0 + z * (
-            -1.0 / 1680.0 + z * (1.0 / 1188.0 + z * (-691.0 / 360360.0)))))) / y
-
     log_ratio = (0.5 * math.log(x) + (x * math.log1p(0.5 / x) - 0.5)
-                 + (stirling(x + 0.5) - stirling(x)))
+                 + (_stirling(x + 0.5) - _stirling(x)))
     return scale * math.exp(log_ratio)
+
+
+def _stirling(y: float) -> float:
+    """lgamma(y) - ((y - 1/2) log y - y + log(2 pi)/2) for y >= 10, to 1e-15:
+    sum_{n=1}^{6} B_2n / (2n (2n-1) y^(2n-1))."""
+    z = 1.0 / (y * y)
+    return (1.0 / 12.0 + z * (-1.0 / 360.0 + z * (1.0 / 1260.0 + z * (
+        -1.0 / 1680.0 + z * (1.0 / 1188.0 + z * (-691.0 / 360360.0)))))) / y
 
 
 def _beta_fraction(a: float, b: float, x: float, y: float) -> tuple[float, int]:
@@ -178,6 +179,15 @@ def _beta_fraction(a: float, b: float, x: float, y: float) -> tuple[float, int]:
         value=math.nan, est_error=math.inf, iterations=MAX_SERIES_TERMS)
 
 
+def _log1p_square(x: float, nu: float) -> float:
+    """log(1 + x^2/nu) for finite x >= 0, without forming x^2 past sqrt(nu),
+    where it would overflow beyond about 1.3e154."""
+    root = math.sqrt(nu)
+    if x <= root:
+        return math.log1p(x * x / nu)
+    return 2.0 * math.log(x / root) + math.log1p((root / x) ** 2)
+
+
 def _t_halves(x: float, nu: float, norm: float) -> tuple[float, float, float, int]:
     """Centre and tail of Student's t: (P(0 < T < x), P(T > x), error, terms)
     for T ~ t_nu standard and x >= 0.
@@ -198,13 +208,20 @@ def _t_halves(x: float, nu: float, norm: float) -> tuple[float, float, float, in
     if x == math.inf:
         return 0.5, 0.0, 0.0, 0
     h = 0.5 * nu
-    x2 = x * x
-    y = x2 / (nu + x2) if x2 < math.inf else 1.0
-    w = nu / (nu + x2)
-    expo = h * math.log1p(x2 / nu)
+    root = math.sqrt(nu)
+    if x <= root:
+        x2 = x * x
+        # sqrt(y) = x / sqrt(nu + x^2), which does not underflow with x^2
+        y, w, sqrt_y = x2 / (nu + x2), nu / (nu + x2), x / math.sqrt(nu + x2)
+        expo = h * math.log1p(x2 / nu)
+    else:
+        # r^2 = nu/x^2 in place of x^2, which overflows past about 1.3e154
+        # (the split of _log1p_square)
+        r2 = (root / x) ** 2
+        y, w, sqrt_y = 1.0 / (1.0 + r2), r2 / (1.0 + r2), 1.0 / math.sqrt(1.0 + r2)
+        expo = h * (2.0 * math.log(x / root) + math.log1p(r2))
     # x^a y^b / (2 B(a, b)) for {a, b} = {1/2, nu/2}, with 1/B(nu/2, 1/2) = norm
-    # and sqrt(y) = x / sqrt(nu + x^2), which does not underflow with x^2
-    pref = 0.5 * x / math.sqrt(nu + x2) * math.exp(-expo) * norm
+    pref = 0.5 * sqrt_y * math.exp(-expo) * norm
     centred = y < 3.0 / (nu + 5.0)
     fraction, terms = _beta_fraction(0.5, h, y, w) if centred else _beta_fraction(h, 0.5, w, y)
     value = pref / fraction

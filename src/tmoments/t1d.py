@@ -33,7 +33,7 @@ DEFAULT_SEED = 12345
 
 @dataclass(frozen=True)
 class TParams1D:
-    """Location mu, precision-like sigma > 0, degrees of freedom nu > 0."""
+    """Location mu, precision-like sigma > 0, finite degrees of freedom nu > 0."""
 
     mu: float
     sigma: float
@@ -44,8 +44,8 @@ class TParams1D:
             raise DomainError("TParams1D: mu must not be NaN")
         if not 0 < self.sigma < math.inf:
             raise DomainError(f"TParams1D: sigma must be positive and finite, got {self.sigma!r}")
-        if not self.nu > 0:
-            raise DomainError(f"TParams1D: nu must be positive, got {self.nu!r}")
+        if not 0 < self.nu < math.inf:
+            raise DomainError(f"TParams1D: nu must be positive and finite, got {self.nu!r}")
 
 
 def precision_from_scale(s: float) -> float:
@@ -60,6 +60,15 @@ def scale_from_precision(sigma: float) -> float:
     if not sigma > 0:
         raise DomainError(f"scale_from_precision: sigma must be positive, got {sigma!r}")
     return 1.0 / math.sqrt(sigma)
+
+
+@dataclass(frozen=True)
+class QuadResult:
+    """A quadrature value with its reported error bound and evaluation count."""
+
+    value: float
+    est_abs_error: float
+    evaluations: int
 
 
 @dataclass(frozen=True, eq=False)

@@ -102,7 +102,7 @@ class MultiIndex:
 
 @dataclass(frozen=True, eq=False)
 class TParamsND:
-    """Location vector mu, SPD precision-convention matrix sigma_mat, nu > 0."""
+    """Location vector mu, SPD precision-convention matrix sigma_mat, finite nu > 0."""
 
     mu: np.ndarray
     sigma_mat: np.ndarray
@@ -119,8 +119,8 @@ class TParamsND:
             raise DomainError(
                 f"TParamsND: sigma_mat shape {sig.shape} does not match dimension {mu.size}")
         sig = _check_spd(sig, "TParamsND: sigma_mat")
-        if not self.nu > 0:
-            raise DomainError(f"TParamsND: nu must be positive, got {self.nu!r}")
+        if not 0 < self.nu < math.inf:
+            raise DomainError(f"TParamsND: nu must be positive and finite, got {self.nu!r}")
         mu.setflags(write=False)
         sig.setflags(write=False)
         object.__setattr__(self, "mu", mu)

@@ -14,8 +14,9 @@ from the 1-D t-level recurrence of Galarza, Lin, Wang & Lachos (2021, Metrika
 A running bound on its rounding error goes along; where the bound exceeds
 1e-12 of the value (boxes whose reach in |t| is short of |mu| plus a few
 scale units, where the moments fall behind the recurrence's growing
-solutions), Gauss-Legendre panels give the orders >= 1 instead. This route
-needs no SciPy.
+solutions), Gauss-Legendre panels give the orders >= 1 instead, and they
+give every order k >= nu, which exists on a bounded box. This route needs
+no SciPy.
 
 One recursion engine serves every other route. Differentiating a normal
 density moves one coordinate's exponent down and spawns (n-1)-dimensional
@@ -26,10 +27,13 @@ inherit both:
 
 * ``trunc_normal_moment``: coefficient 1, mass the normal rectangle
   probability.
-* ``trunc_t_moment`` (``corrected`` mode, n >= 2): the normal engine at each
-  value of the gamma mixing variable, averaged by adaptive quadrature over
-  that variable. This is exact up to the quadrature error. In 1-D the same
-  mixture (``_t_mixture``) is the test oracle of the closed route.
+* ``trunc_t_moment`` (``corrected`` mode, n >= 2): the normal engine over
+  the gamma mixing variable t at covariance scale 1/t, averaged by an
+  adaptive Gauss-Kronrod rule over numpy arrays (``_gauss_kronrod``). The
+  faces are built once per call; each refinement level runs the memoised
+  recursion once over all its nodes, with the masses evaluated on arrays.
+  This is exact up to the rule's error. In 1-D the same mixture
+  (``_t_mixture``) is the test oracle of the closed route.
 * ``trunc_t_moment_literal`` (``literal`` mode): the engine run directly at
   the t level with the averaged coefficient nu/(nu-2) and a t-free boundary
   density; its mass is the gamma-mixture probability of the box or face. It
@@ -38,9 +42,12 @@ inherit both:
 The normal rectangle probability behind every mass is exact in 1-D (erf)
 and 2-D (Owen's T function, Owen 1956); in 3-D it is one adaptive integral of
 the exact 2-D probability of the conditional pair over the first axis (Genz
-2004). Boxes with a finite bound are therefore limited to n <= 3. SciPy
-(QUADPACK through ``oracle``, Owen's T, triangular solves) is imported inside
-the functions of these 2-D, 3-D and Monte Carlo paths.
+2004). Boxes with a finite bound are therefore limited to n <= 3. SciPy is
+imported inside the functions that need it: ``scipy.special`` (Owen's T, the
+normal CDF) for 2-D and 3-D boxes, QUADPACK (through ``oracle``) for the 3-D
+conditioning integral only, and a triangular solve for Monte Carlo. The 1-D
+masses use ``math.erfc``, so the literal mode and the mixture in 1-D load
+no SciPy.
 """
 
 from __future__ import annotations
@@ -48,18 +55,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError
-from .specfun import MAX_SERIES_TERMS, _gamma_half_ratio, _t_halves
-from .t1d import DEFAULT_SEED, MomentResult, _undefined
+from .specfun import MAX_SERIES_TERMS, _gamma_half_ratio, _log1p_square, _stirling, _t_halves
+from .t1d import DEFAULT_SEED, MomentResult, QuadResult, _undefined
 from .tnd import MultiIndex, TParamsND, _check_spd, _spd_inverse
 
-if TYPE_CHECKING:
-    from .oracle import QuadResult
-
+_SQRT2 = math.sqrt(2.0)
+_SQRT_HALF = math.sqrt(0.5)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _EPS = 2.0 ** -53
 
@@ -67,9 +72,31 @@ _EPS = 2.0 ** -53
 #: is replaced by Gauss-Legendre panels.
 _RECURRENCE_RTOL = 1e-12
 
+#: Relative error the mixing integral accepts whatever its absolute tolerance,
+#: and the number of panels it may evaluate before giving up.
+_MIXTURE_RTOL = 1e-12
+_MAX_PANELS = 500
 
-def _normal_pdf(x: float, mean: float, variance: float) -> float:
-    return math.exp(-((x - mean) ** 2) / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
+
+def _mirrored(half: tuple[float, ...], sign: float) -> np.ndarray:
+    # a symmetric rule on [-1, 1] from its values at the nodes >= 0, largest first
+    return np.array([sign * v for v in half[:-1]] + list(half[::-1]))
+
+
+# The 15-point Kronrod rule on [-1, 1] and the 7-point Gauss rule on its odd
+# nodes (QUADPACK's dqk15 constants).
+_KRONROD_X = _mirrored((0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+                        0.207784955007898467600689403773245, 0.0), -1.0)
+_KRONROD_W = _mirrored((0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                        0.204432940075298892414161999234649, 0.209482141084727828012999174891714),
+                       1.0)
+_GAUSS_W = _mirrored((0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+                      0.381830050505118944950369775488975, 0.417959183673469387755102040816327),
+                     1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,39 +131,32 @@ class Rectangle:
         return Rectangle(self.lower[keep], self.upper[keep])
 
 
-def _std_normal_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+def _std_normal_cdf(x):
+    """Phi(x) through math.erfc, elementwise over an array (no SciPy)."""
+    if isinstance(x, np.ndarray):
+        return 0.5 * np.fromiter(map(math.erfc, (x * -_SQRT_HALF).tolist()), float, x.size)
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def _owen_term(h: float, num: float, r: float, owens_t) -> float:
-    # T(h, num / (h r)); at h = 0 the argument is +-inf and T(0, +-inf) = +-1/4.
-    if h == 0.0:
-        return math.copysign(0.25, num)
-    return float(owens_t(h, num / (h * r)))
+@cache
+def _special():
+    # Imported on first use, not at the top, so 1-D requests load no SciPy.
+    from scipy.special import ndtr, owens_t
+    return ndtr, owens_t
 
 
-def _bvn_cdf(h: float, k: float, rho: float, owens_t) -> float:
-    """P(Z1 <= h, Z2 <= k) for standard normals at correlation rho (Owen 1956)."""
-    if h == -math.inf or k == -math.inf:
-        return 0.0
-    if h == math.inf:
-        return _std_normal_cdf(k)
-    if k == math.inf:
-        return _std_normal_cdf(h)
-    if h == 0.0 and k == 0.0:
-        return 0.25 + math.asin(rho) / (2.0 * math.pi)
-    r = math.sqrt((1.0 - rho) * (1.0 + rho))
-    val = (0.5 * (_std_normal_cdf(h) + _std_normal_cdf(k))
-           - _owen_term(h, k - rho * h, r, owens_t) - _owen_term(k, h - rho * k, r, owens_t))
-    if (h < 0.0) != (k < 0.0):
-        val -= 0.5
-    return val
+def _bvn_box(lo1: float, hi1: float, lo2: float, hi2: float, rho: float, root=1.0):
+    """P(lo root < Z < hi root) for a standard normal pair at correlation rho.
 
-
-def _bvn_box(lo1: float, hi1: float, lo2: float, hi2: float, rho: float) -> float:
-    """P(lo < Z < hi) for a standard normal pair at correlation rho."""
-    # Imported here, not at the top, so 1-D requests load no SciPy.
-    from scipy.special import owens_t
+    ``root`` is a float, or an array for one box per element. Every branch
+    (reflection, zero and infinite corners) depends on the signs of the
+    unscaled bounds alone, so it is taken once for all elements.
+    """
+    ndtr, owens_t = _special()
+    # A single box, as in the 3-D conditioning integrand, is faster in floats
+    # than in numpy scalars.
+    one = isinstance(root, float)
+    phi = _std_normal_cdf if one else ndtr
 
     # An axis whose interval lies mostly above the mean is reflected, so the
     # corner values are lower-tail probabilities instead of values near 1.
@@ -144,30 +164,53 @@ def _bvn_box(lo1: float, hi1: float, lo2: float, hi2: float, rho: float) -> floa
         lo1, hi1, rho = -hi1, -lo1, -rho
     if lo2 + hi2 > 0.0:
         lo2, hi2, rho = -hi2, -lo2, -rho
-    p = ((_bvn_cdf(hi1, hi2, rho, owens_t) - _bvn_cdf(lo1, hi2, rho, owens_t))
-         - (_bvn_cdf(hi1, lo2, rho, owens_t) - _bvn_cdf(lo1, lo2, rho, owens_t)))
-    return max(p, 0.0)
+    r = math.sqrt((1.0 - rho) * (1.0 + rho))
+
+    def owen(h: float, num: float):
+        # T(h root, num / (h r)); at h = 0 the argument is +-inf and T(0, +-inf) = +-1/4.
+        if h == 0.0:
+            return math.copysign(0.25, num)
+        val = owens_t(h * root, num / (h * r))
+        return float(val) if one else val
+
+    def cdf(h: float, k: float):
+        # P(Z1 <= h root, Z2 <= k root) (Owen 1956)
+        if h == -math.inf or k == -math.inf:
+            return 0.0
+        if h == math.inf:
+            return phi(k * root)
+        if k == math.inf:
+            return phi(h * root)
+        if h == 0.0 and k == 0.0:
+            return 0.25 + math.asin(rho) / (2.0 * math.pi)
+        val = 0.5 * (phi(h * root) + phi(k * root)) - owen(h, k - rho * h) - owen(k, h - rho * k)
+        return val - 0.5 if (h < 0.0) != (k < 0.0) else val
+
+    p = (cdf(hi1, hi2) - cdf(lo1, hi2)) - (cdf(hi1, lo2) - cdf(lo1, lo2))
+    return max(p, 0.0) if one else np.maximum(p, 0.0)
 
 
 def _tvn_box(a: list[float], b: list[float], mean: list[float], cov: list[list[float]],
-             tol: float) -> float:
-    """Trivariate normal box probability by conditioning on axis 0 (Genz 2004).
+             tol: float, root: float = 1.0) -> float:
+    """Trivariate normal box probability of N(mean, cov / root^2) by conditioning
+    on axis 0 (Genz 2004).
 
     Given z = (x_0 - m_0)/s_0 the other two axes are a bivariate normal whose
     box probability is exact; one adaptive integral over z against the
     standard normal density, on infinite ranges where a bound is infinite,
-    gives the rest.
+    gives the rest. Scaling the covariance scales every standardized bound by
+    ``root`` and leaves the correlations alone.
     """
     from .oracle import _run_quad
 
     s0 = math.sqrt(cov[0][0])
-    z_lo, z_hi = (a[0] - mean[0]) / s0, (b[0] - mean[0]) / s0
+    z_lo, z_hi = (a[0] - mean[0]) / s0 * root, (b[0] - mean[0]) / s0 * root
     c1, c2 = cov[0][1] / s0, cov[0][2] / s0
     s1 = math.sqrt(cov[1][1] - c1 * c1)
     s2 = math.sqrt(cov[2][2] - c2 * c2)
     rho = (cov[1][2] - c1 * c2) / (s1 * s2)
-    lo1, hi1 = (a[1] - mean[1]) / s1, (b[1] - mean[1]) / s1
-    lo2, hi2 = (a[2] - mean[2]) / s2, (b[2] - mean[2]) / s2
+    lo1, hi1 = (a[1] - mean[1]) / s1 * root, (b[1] - mean[1]) / s1 * root
+    lo2, hi2 = (a[2] - mean[2]) / s2 * root, (b[2] - mean[2]) / s2 * root
     g1, g2 = c1 / s1, c2 / s2
 
     def conditional(z: float) -> float:
@@ -177,41 +220,56 @@ def _tvn_box(a: list[float], b: list[float], mean: list[float], cov: list[list[f
     return _run_quad(conditional, z_lo, z_hi, tol).value
 
 
-def _rect_prob_cov(a: np.ndarray, b: np.ndarray, mean: np.ndarray, cov: np.ndarray,
-                   tol: float) -> float:
-    """Normal rectangle probability, covariance parameterization.
+def _rect_prob(a: np.ndarray, b: np.ndarray, mean: np.ndarray, cov: np.ndarray, tol: float):
+    """Normal rectangle probability of N(mean, scale * cov) as a function of
+    ``scale``, a float or an array for one probability per element.
 
     Exact in 1-D (erf) and 2-D (Owen's T); in 3-D one conditioning integral
-    of the exact 2-D probability, to absolute error ``tol``.
+    of the exact 2-D probability per element, to absolute error ``tol``. The
+    standardized bounds and the correlations do not depend on the scale and
+    are formed once.
     """
-    n = mean.size
     if np.all(np.isneginf(a)) and np.all(np.isposinf(b)):
-        return 1.0
-    if n == 1:
-        s = math.sqrt(cov[0, 0])
-        hi = 1.0 if math.isinf(b[0]) else _std_normal_cdf((b[0] - mean[0]) / s)
-        lo = 0.0 if math.isinf(a[0]) else _std_normal_cdf((a[0] - mean[0]) / s)
-        return max(hi - lo, 0.0)
-    a, b, mean, cov = a.tolist(), b.tolist(), mean.tolist(), cov.tolist()
-    if n == 3:
-        return _tvn_box(a, b, mean, cov, tol)
-    s1, s2 = math.sqrt(cov[0][0]), math.sqrt(cov[1][1])
-    return _bvn_box((a[0] - mean[0]) / s1, (b[0] - mean[0]) / s1,
-                    (a[1] - mean[1]) / s2, (b[1] - mean[1]) / s2, cov[0][1] / (s1 * s2))
+        return lambda scale: 1.0
+    sd = np.sqrt(np.diag(cov))
+    lo, hi = ((a - mean) / sd).tolist(), ((b - mean) / sd).tolist()
+    if mean.size == 1:
+        def interval(scale):
+            root = scale ** -0.5
+            upper = 1.0 if math.isinf(hi[0]) else _std_normal_cdf(hi[0] * root)
+            lower = 0.0 if math.isinf(lo[0]) else _std_normal_cdf(lo[0] * root)
+            return np.maximum(upper - lower, 0.0)
+        return interval
+    if mean.size == 2:
+        rho = float(cov[0, 1] / (sd[0] * sd[1]))
+        return lambda scale: _bvn_box(lo[0], hi[0], lo[1], hi[1], rho, scale ** -0.5)
+    box = partial(_tvn_box, a.tolist(), b.tolist(), mean.tolist(), cov.tolist(), tol)
+
+    def trivariate(scale):
+        root = scale ** -0.5
+        if isinstance(root, np.ndarray):
+            return np.array([box(r) for r in root.tolist()])
+        return box(root)
+    return trivariate
 
 
 class _Recursion:
     """Unnormalized truncated moments of one location and covariance.
 
-    Lowering the first nonzero order i, F_k = mean_i F_(k-e_i) +
-    coef * sum_j cov_ij * corner_j, where corner_j holds the exponent-decrement
-    term of coordinate j and its two face terms. ``mass(a, b, mean, cov)``
-    gives the order-zero value; the faces are Schur complements and inherit
-    ``mass`` and ``coef``.
+    The covariance is ``scale * cov``, where ``scale`` is a float or, in the
+    gamma mixture, the array of mixing scales 1/t: every value is then an
+    array with one moment per scale. Lowering the first nonzero order i,
+    F_k = mean_i F_(k-e_i) + coef * scale * sum_j cov_ij * corner_j, where
+    corner_j holds the exponent-decrement term of coordinate j and its two
+    face terms. ``mass(a, b, mean, cov)`` returns the order-zero value as a
+    function of the scale; the faces are Schur complements and inherit
+    ``mass``, ``coef`` and ``scale``. A face's mean and unscaled covariance
+    do not depend on the scale, so :meth:`rescale` keeps the faces built so
+    far, and their mass functions.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, mean: np.ndarray, cov: np.ndarray,
-                 mass, coef: float = 1.0):
+                 mass, coef: float = 1.0, scale=1.0):
         self.a = a
         self.b = b
         self.mean = mean
@@ -219,45 +277,62 @@ class _Recursion:
         self.var = np.diag(cov)
         self.n = mean.size
         self.mass = mass
+        self._mass_at = mass(a, b, mean, cov)
         self.coef = coef
-        self._memo: dict[tuple[int, ...], float] = {}
         self._faces: dict[tuple[int, int], _Recursion] = {}
+        self.rescale(scale)
 
-    def moment(self, k: tuple[int, ...]) -> float:
+    def rescale(self, scale) -> None:
+        """Compute the moments at covariance ``scale * cov`` from now on."""
+        self.scale = scale
+        self._memo: dict[tuple[int, ...], object] = {}
+        self._densities: dict[tuple[int, int], object] = {}
+        for face in self._faces.values():
+            face.rescale(scale)
+
+    def moment(self, k: tuple[int, ...]):
         val = self._memo.get(k)
         if val is None:
-            val = self._step(k) if any(k) else self.mass(self.a, self.b, self.mean, self.cov)
+            val = self._step(k) if any(k) else self._mass_at(self.scale)
             self._memo[k] = val
         return val
 
-    def _step(self, k: tuple[int, ...]) -> float:
+    def _step(self, k: tuple[int, ...]):
         i = next(pos for pos, ki in enumerate(k) if ki)
         base = k[:i] + (k[i] - 1,) + k[i + 1:]
-        val = self.mean[i] * self.moment(base)
+        spread = 0.0
         for j in range(self.n):
             cij = self.cov[i, j]
             if cij != 0.0:
-                val += self.coef * cij * self._corner(base, j)
-        return val
+                spread = spread + cij * self._corner(base, j)
+        return self.mean[i] * self.moment(base) + self.coef * self.scale * spread
 
-    def _corner(self, base: tuple[int, ...], j: int) -> float:
+    def _corner(self, base: tuple[int, ...], j: int):
         # The three-term boundary coefficient: the exponent-decrement term
         # vanishes for exponent 0, the face terms vanish at infinite bounds.
         out = 0.0
         if base[j]:
-            out += base[j] * self.moment(base[:j] + (base[j] - 1,) + base[j + 1:])
+            out = base[j] * self.moment(base[:j] + (base[j] - 1,) + base[j + 1:])
         reduced = base[:j] + base[j + 1:]
         aj = self.a[j]
         if not math.isinf(aj):
-            out += (aj ** base[j] * _normal_pdf(aj, self.mean[j], self.var[j])
-                    * self._face_moment(j, 0, reduced))
+            out = out + aj ** base[j] * self._density(j, 0) * self._face_moment(j, 0, reduced)
         bj = self.b[j]
         if not math.isinf(bj):
-            out -= (bj ** base[j] * _normal_pdf(bj, self.mean[j], self.var[j])
-                    * self._face_moment(j, 1, reduced))
+            out = out - bj ** base[j] * self._density(j, 1) * self._face_moment(j, 1, reduced)
         return out
 
-    def _face_moment(self, j: int, side: int, reduced: tuple[int, ...]) -> float:
+    def _density(self, j: int, side: int):
+        # N(mean_j, scale var_j) density at the lower (side 0) or upper bound of axis j
+        val = self._densities.get((j, side))
+        if val is None:
+            x = self.b[j] if side else self.a[j]
+            var = self.var[j] * self.scale
+            val = np.exp(-0.5 * (x - self.mean[j]) ** 2 / var) / np.sqrt(2.0 * math.pi * var)
+            self._densities[(j, side)] = val
+        return val
+
+    def _face_moment(self, j: int, side: int, reduced: tuple[int, ...]):
         # A face of a 1-D problem is zero-dimensional: the empty product is 1.
         if self.n == 1:
             return 1.0
@@ -269,38 +344,111 @@ class _Recursion:
             mean_hat = self.mean[keep] + cj * (x - self.mean[j]) / self.var[j]
             cov_hat = self.cov[np.ix_(keep, keep)] - np.outer(cj, cj) / self.var[j]
             face = _Recursion(self.a[keep], self.b[keep], mean_hat, cov_hat, self.mass,
-                              self.coef)
+                              self.coef, self.scale)
             self._faces[(j, side)] = face
         return face.moment(reduced)
+
+
+def _gauss_kronrod(f, edges: tuple[float, ...], tol: float) -> QuadResult:
+    """Adaptive Gauss-Kronrod (G7/K15) integral of a vectorized ``f`` over the
+    panels between ``edges``, to absolute error ``tol`` or relative 1e-12.
+
+    Each level evaluates the 15 nodes of every open panel in one call of
+    ``f``. A panel's error is |K15 - G7| plus 50 ulps of the integral of |f|.
+    The level ends the rule when the errors add up to the target; otherwise
+    it closes each panel whose error fits an equal share of what the closed
+    panels left, or whose difference is down to rounding, and bisects the
+    rest. ``NonConvergenceError`` past ``_MAX_PANELS`` panels, or when the
+    closed panels' errors exceed the target.
+    """
+    lo, hi = np.array(edges[:-1], dtype=float), np.array(edges[1:], dtype=float)
+    value = error = 0.0
+    panels = 0
+    while lo.size:
+        panels += lo.size
+        if panels > _MAX_PANELS:
+            raise NonConvergenceError(
+                f"mixing integral did not reach tolerance {tol:g} within {_MAX_PANELS} panels",
+                value=value, est_error=math.inf, iterations=15 * panels)
+        half = 0.5 * (hi - lo)
+        mid = lo + half
+        fx = f((mid[:, None] + half[:, None] * _KRONROD_X).ravel()).reshape(lo.size, 15)
+        kronrod = fx @ _KRONROD_W * half
+        gap = np.abs(kronrod - fx[:, 1::2] @ _GAUSS_W * half)
+        rounding = 50.0 * _EPS * (np.abs(fx) @ _KRONROD_W) * half
+        err = gap + rounding
+        budget = max(tol, _MIXTURE_RTOL * abs(value + kronrod.sum())) - error
+        split = ((err > budget / lo.size) & (gap > rounding) if err.sum() > budget
+                 else np.zeros(lo.size, dtype=bool))
+        value += kronrod[~split].sum()
+        error += err[~split].sum()
+        lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
+    if error > max(tol, _MIXTURE_RTOL * abs(value)):
+        raise NonConvergenceError(
+            f"mixing integral did not reach tolerance {tol:g} (achieved {error:.3e})",
+            value=value, est_error=error, iterations=15 * panels)
+    return QuadResult(float(value), float(error), 15 * panels)
 
 
 def _t_mixture(k: tuple[int, ...], a: np.ndarray, b: np.ndarray, mean: np.ndarray,
                cov: np.ndarray, nu: float, tol: float) -> QuadResult:
     """Gamma-mixture integral of the normal recursion over N(mean, cov / t).
 
-    The breakpoint u = 1/2 is t = 1, the mean of the mixing law: without it
-    QUADPACK can accept a single 21-point panel whose error estimate is far
-    below its true error.
+    The mixing variable is t = x^m, x = u/(1-u), over u in (0, 1), starting
+    from four panels split at u = 1/2 (t = 1, the mean of the mixing law).
+    As t -> 0 the normal moment grows at most like t^(-k_open/2), k_open the
+    order carried by the axes with an infinite bound, and it expands in
+    powers of sqrt(t), so the integrand behaves like t^((nu - k_open)/2 - 1)
+    times such a series. The even integer m = 2 ceil(1/(nu - k_open)), at
+    least 2/(nu - k_open), keeps it bounded in u and makes sqrt(t) an integer
+    power of x. On a bounded box the moment is t^(n/2) times a power series
+    in t, so for nu >= 2 the integrand is bounded and free of sqrt(t) terms
+    already, and m = 1 leaves the bulk of the mixing law on more of (0, 1).
+    One recursion, its faces built once, runs per refinement level of
+    :func:`_gauss_kronrod` over all new nodes at covariance scale 1/t.
     """
-    from .oracle import _run_quad
+    alpha = 0.5 * nu
+    # log of alpha^alpha e^-alpha / Gamma(alpha), which lgamma would leave to
+    # cancellation for large nu
+    log_norm = (0.5 * math.log(alpha / (2.0 * math.pi)) - _stirling(alpha) if alpha >= 10.0
+                else alpha * math.log(alpha) - alpha - math.lgamma(alpha))
+    k_open = sum(ki for ki, lo, hi in zip(k, a, b) if math.isinf(lo) or math.isinf(hi))
+    bounded = bool(np.isfinite(a).all() and np.isfinite(b).all())
+    m = 1.0 if bounded and nu >= 2.0 else 2.0 * math.ceil(1.0 / (nu - k_open))
+    problem = _Recursion(a, b, mean, cov, partial(_rect_prob, tol=max(tol * 1e-2, 1e-11)))
 
-    mass = partial(_rect_prob_cov, tol=max(tol * 1e-2, 1e-11))
-    # Gamma(t | alpha, rate alpha) density, alpha = nu/2
-    alpha = nu / 2.0
-    log_norm = alpha * math.log(alpha) - math.lgamma(alpha)
+    def mixed(u: np.ndarray) -> np.ndarray:
+        log_x = np.log(u) - np.log1p(-u)
+        log_t = m * log_x
+        with np.errstate(over="ignore"):
+            t = np.exp(log_t)
+            # Gamma(t | alpha, rate alpha) dt/du, dt/du = m t / (u (1 - u)), with
+            # the exponent alpha (1 + log t - t) formed without cancellation
+            weight = np.exp(log_norm + math.log(m) - alpha * (np.expm1(log_t) - log_t)
+                            - np.log(u) - np.log1p(-u))
+        out = np.zeros_like(u)
+        live = (weight > 0.0) & (t > 0.0)
+        if live.any():
+            problem.rescale(1.0 / t[live])
+            out[live] = problem.moment(k) * weight[live]
+        return out
 
-    def mixed(u: float) -> float:
-        t = u / (1.0 - u)
-        problem = _Recursion(a, b, mean, cov / t, mass)
-        density = math.exp(log_norm + (alpha - 1.0) * math.log(t) - alpha * t) if t > 0.0 else 0.0
-        return problem.moment(k) * density / (1.0 - u) ** 2
-
-    return _run_quad(mixed, 0.0, 1.0, tol, points=[0.5])
+    # For large nu the mixing law is a peak at t = 1 of width sqrt(2/nu) that
+    # the starting nodes could miss: edges 8 widths either side expose it.
+    reach = 8.0 * math.sqrt(2.0 / nu) / m
+    if reach < 1e-8:
+        raise NonConvergenceError(
+            f"mixing integral: nu = {nu:g} concentrates the mixing law below the "
+            f"resolution of the rule", value=math.nan, est_error=math.inf)
+    edges = ((0.0, 0.25, 0.5, 0.75, 1.0) if reach > 0.5 else
+             (0.0, 0.25, 1.0 / (1.0 + math.exp(reach)), 0.5, 1.0 / (1.0 + math.exp(-reach)),
+              0.75, 1.0))
+    return _gauss_kronrod(mixed, edges, tol)
 
 
 def _t_orders_1d(kmax: int, a: float, b: float, mu: float, sigma: float,
                  nu: float) -> tuple[float, dict]:
-    """F_kmax = integral of t^kmax over [a, b] against the 1-D t density, kmax < nu.
+    """F_kmax = integral of t^kmax over [a, b] against the 1-D t density.
 
     F_0 is the incomplete-beta mass. With q(t) = nu/sigma + (t - mu)^2 and g
     the density, integrating d/dt [t^(k-1) q g] over [a, b] gives the t-level
@@ -315,10 +463,16 @@ def _t_orders_1d(kmax: int, a: float, b: float, mu: float, sigma: float,
     recurrence loses digits where the moments fall behind its growing
     solutions, on boxes whose reach in |t| is short of |mu| plus a few scale
     units; when the bound exceeds 1e-12 of the value, orders >= 1 come from
-    Gauss-Legendre panels instead.
+    Gauss-Legendre panels instead. Orders kmax >= nu, which exist on a
+    bounded box, come from the panels alone.
     """
     root = math.sqrt(sigma)
     norm = _gamma_half_ratio(0.5 * nu) / math.sqrt(math.pi)
+    if kmax >= nu:
+        # only a bounded box gets here; the recurrence would divide by nu - k
+        value, panels = _t_panels_1d(kmax, (a - mu) * root, (b - mu) * root, mu, 1.0 / root,
+                                     nu, norm)
+        return value, {"quadrature_panels": panels}
 
     def split(t: float):
         # z, P(T <= z), P(T > z), the absolute error of both, fraction terms
@@ -337,35 +491,42 @@ def _t_orders_1d(kmax: int, a: float, b: float, mu: float, sigma: float,
     mass_error = err_a + err_b + 2.0 * _EPS * size
     diag = {"beta_terms": terms_a + terms_b, "beta_error": mass_error}
 
-    def boundary(t: float, z: float) -> tuple[float, float]:
-        # q g at t and the relative error of its exponential
-        if not math.isfinite(t):
-            return 0.0, 0.0
-        expo = 0.5 * (nu - 1.0) * math.log1p(z * z / nu)
-        value = math.sqrt(nu / sigma) * norm * math.exp(-expo)
-        if not value:
-            return 0.0, 0.0
-        cond = abs(nu - 1.0) * abs(z) / (nu + z * z) * (abs(t) + abs(mu)) * root
-        return value, abs(expo) + cond + 4.0
+    scale = math.sqrt(nu / sigma) * norm
 
-    g_a, kappa_a = boundary(a, za)
-    g_b, kappa_b = boundary(b, zb)
-    # t^(k-1) q g, advanced by one factor of t per order; zero at an infinite bound
-    step_a = a if g_a else 0.0
-    step_b = b if g_b else 0.0
+    def boundary(t: float, z: float) -> tuple[float, float, float]:
+        # expo with q g = scale exp(-expo), log|t|, and the relative error of
+        # exp(-expo) in units of eps; q g is zero at an infinite bound
+        if not math.isfinite(t):
+            return math.inf, 0.0, 0.0
+        expo = 0.5 * (nu - 1.0) * _log1p_square(abs(z), nu)
+        cond = abs(nu - 1.0) * (abs(t) + abs(mu)) * root / (abs(z) + nu / abs(z)) if z else 0.0
+        return expo, math.log(abs(t)) if t else -math.inf, abs(expo) + cond + 4.0
+
+    def term(k: int, t: float, expo: float, log_t: float, kappa: float) -> tuple[float, float]:
+        # t^(k-1) q g and its rounding error, from one exponential of the summed
+        # logarithms, so that a far bound does not underflow before the power
+        if k == 1:
+            value = scale * math.exp(-expo)
+            return value, (kappa + 1.0) * value
+        if not t:
+            return 0.0, 0.0
+        value = scale * math.exp((k - 1) * log_t - expo)
+        return (-value if t < 0.0 and k % 2 == 0 else value,
+                (kappa + k + (k - 1) * abs(log_t)) * value)
+
+    at_a, at_b = boundary(a, za), boundary(b, zb)
     spread = mu * mu + nu / sigma
     prev2, prev, err2, err = 0.0, f0, 0.0, mass_error
     for k in range(1, kmax + 1):
+        g_a, e_a = term(k, a, *at_a)
+        g_b, e_b = term(k, b, *at_b)
         c1 = mu * (nu + 1.0 - 2.0 * k)
         t1, t2 = c1 * prev, (k - 1) * spread * prev2
         val = (t1 + t2 + g_a - g_b) / (nu - k)
         err2, err = err, ((abs(c1) * err + (k - 1) * spread * err2
-                           + _EPS * (3.0 * (abs(t1) + abs(t2)) + (kappa_a + k) * abs(g_a)
-                                     + (kappa_b + k) * abs(g_b))) / (nu - k)
+                           + _EPS * (3.0 * (abs(t1) + abs(t2)) + e_a + e_b)) / (nu - k)
                           + _EPS * abs(val))
         prev2, prev = prev, val
-        g_a *= step_a
-        g_b *= step_b
     diag["recurrence_error"] = err
     if err <= _RECURRENCE_RTOL * abs(prev):
         return prev, diag
@@ -379,6 +540,11 @@ def _legendre_nodes() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(16)
 
 
+def _log_abs_power(t: float, k: int) -> float:
+    # log |t|^k, with 0^0 = 1
+    return k * math.log(abs(t)) if t else (-math.inf if k else 0.0)
+
+
 def _t_panels_1d(k: int, za: float, zb: float, mu: float, scale: float, nu: float,
                  norm: float) -> tuple[float, int]:
     """Integral of (mu + scale z)^k f(z) over [za, zb] for the standard t density f.
@@ -389,8 +555,12 @@ def _t_panels_1d(k: int, za: float, zb: float, mu: float, scale: float, nu: floa
     proportional to 1/|z| in a normal-like tail and to |z| in a power-law
     tail. A side stops at its bound, or once the rest of the side, bounded by
     the envelope (|mu| + scale |z|)^k f(z) over its decay length, is below
-    1e-18 of the running integral of |t|^k f.
+    1e-18 of the running integral of |t|^k f. Powers and densities are
+    combined as logarithms and z^2 is never formed where it overflows, so a
+    far panel of a bounded box with k >= nu, where f underflows long before
+    |t|^k f does, still counts.
     """
+    root = math.sqrt(nu)
     start = min(max(0.0, za), zb)
     edges = []
     for end, sign in ((za, -1.0), (zb, 1.0)):
@@ -401,24 +571,30 @@ def _t_panels_1d(k: int, za: float, zb: float, mu: float, scale: float, nu: floa
                     f"trunc_t_moment: the quadrature panels did not settle within "
                     f"{MAX_SERIES_TERMS} panels", value=math.nan, est_error=math.inf,
                     iterations=MAX_SERIES_TERMS)
-            az = abs(z)
-            width = (nu + z * z) / ((nu + 1.0) * az + math.sqrt((nu + 1.0) * (nu + z * z)))
+            s = math.hypot(root, z)  # sqrt(nu + z^2)
+            width = s / ((nu + 1.0) * abs(z) / s + math.sqrt(nu + 1.0))
             z = end if (z + sign * width - end) * sign >= 0.0 else z + sign * width
             side.append(z)
-            az = abs(z)
-            density = math.exp(-0.5 * (nu + 1.0) * math.log1p(z * z / nu))
-            acc += abs(mu + scale * z) ** k * density * width
+            az, s = abs(z), math.hypot(root, z)
+            log_density = -0.5 * (nu + 1.0) * _log1p_square(az, nu)
+            acc += math.exp(_log_abs_power(mu + scale * z, k) + log_density) * width
             reach = abs(mu) / scale + az
-            decay = (nu + 1.0) * az / (nu + z * z) - k / reach
-            if decay > 0.0 and (scale * reach) ** k * density / decay <= 1e-18 * acc:
+            decay = (nu + 1.0) * az / s / s - k / reach
+            if (decay > 0.0 and math.exp(_log_abs_power(scale * reach, k) + log_density) / decay
+                    <= 1e-18 * acc):
                 break
         edges.append(side)
     bounds = np.array(edges[0][::-1] + [start] + edges[1])
     nodes, weights = _legendre_nodes()
     half = 0.5 * np.diff(bounds)
     z = (0.5 * (bounds[1:] + bounds[:-1]))[:, None] + half[:, None] * nodes
-    f = (norm / math.sqrt(nu)) * np.exp(-0.5 * (nu + 1.0) * np.log1p(z * z / nu))
-    return math.fsum(((mu + scale * z) ** k * f * (half[:, None] * weights)).ravel()), half.size
+    t = mu + scale * z
+    with np.errstate(over="ignore", divide="ignore"):
+        q = (z / root) ** 2
+        log_q = np.where(q < math.inf, np.log1p(q), 2.0 * np.log(np.abs(z) / root))
+        log_power = k * np.log(np.abs(t)) if k else 0.0
+    f = np.exp(log_power - 0.5 * (nu + 1.0) * log_q) * (np.sign(t) if k % 2 else 1.0)
+    return (norm / root) * math.fsum((f * (half[:, None] * weights)).ravel()), half.size
 
 
 def _check_box(name: str, k, r: Rectangle, dim: int) -> MultiIndex:
@@ -460,7 +636,7 @@ def rectangle_probability(r: Rectangle, mean, precision_scaled, *, tol: float = 
         inside = np.all((x >= r.lower) & (x <= r.upper), axis=1)
         return float(inside.mean())
     cov = _spd_inverse(prec)
-    return _rect_prob_cov(r.lower, r.upper, mean, cov, tol)
+    return float(_rect_prob(r.lower, r.upper, mean, cov, tol)(1.0))
 
 
 def trunc_normal_moment(k, r: Rectangle, mean, precision_scaled) -> float:
@@ -473,8 +649,8 @@ def trunc_normal_moment(k, r: Rectangle, mean, precision_scaled) -> float:
     k = _check_box("trunc_normal_moment", k, r, mean.size)
     prec = _check_spd(precision_scaled, "trunc_normal_moment: matrix")
     cov = _spd_inverse(prec)
-    mass = partial(_rect_prob_cov, tol=1e-10)
-    return _Recursion(r.lower, r.upper, mean, cov, mass).moment(k.k)
+    mass = partial(_rect_prob, tol=1e-10)
+    return float(_Recursion(r.lower, r.upper, mean, cov, mass).moment(k.k))
 
 
 def trunc_t_moment(k, r: Rectangle, p: TParamsND, *, tol: float = 1e-9) -> MomentResult:
@@ -489,15 +665,24 @@ def trunc_t_moment(k, r: Rectangle, p: TParamsND, *, tol: float = 1e-9) -> Momen
     exceeded 1e-12 of the value and Gauss-Legendre panels gave the value
     instead, their count (``quadrature_panels``).
 
-    In two and three dimensions (formula ``trunc-mixture``) the conditional
-    normal problem N(mu, (t Sigma)^(-1)) is solved by the moment recursion for
-    each mixing value t, and the results are integrated against
-    Gamma(t | nu/2, nu/2), with (0, inf) mapped to (0, 1) by t = u/(1-u), to
-    absolute error ``tol``.
+    In two and three dimensions (formula ``trunc-mixture``) the moments of
+    the conditional normal N(mu, (t Sigma)^(-1)) are integrated against
+    Gamma(t | nu/2, nu/2) by an adaptive Gauss-Kronrod (G7/K15) rule to
+    absolute error ``tol`` (relative 1e-12), with t = (u/(1-u))^m on
+    u in (0, 1) (see :func:`_t_mixture`). The recursion's faces are built
+    once; each refinement level runs it once over all the level's nodes.
+    ``quad_abs_error`` is the sum of the panels' |K15 - G7| and rounding
+    terms, and ``quad_evaluations`` the number of mixing nodes. Moments
+    exist for k < nu (total order) or, on a box with every bound finite, for
+    every k; orders k >= nu on a bounded box raise ``NonConvergenceError``
+    where the recursion's rounding, which grows like t^(-k/2) as t -> 0,
+    swamps the mixing weight, and so does nu above about 1e17, where the
+    mixing law is narrower than the rule resolves.
     """
     k = _check_box("trunc_t_moment", k, r, p.dim)
     formula = "trunc-recurrence" if p.dim == 1 else "trunc-mixture"
-    if k.total >= p.nu:
+    # a box with every bound finite has moments of every order
+    if k.total >= p.nu and not (np.isfinite(r.lower).all() and np.isfinite(r.upper).all()):
         return _undefined(formula, "corrected")
     if p.dim == 1:
         value, diag = _t_orders_1d(k.total, float(r.lower[0]), float(r.upper[0]),
@@ -526,8 +711,9 @@ def trunc_t_moment_literal(k, r: Rectangle, p: TParamsND, *, tol: float = 1e-9) 
         return _undefined("trunc-literal", "literal")
 
     def mass(a, b, mean, cov):
-        return _t_mixture((0,) * mean.size, a, b, mean, cov, p.nu, tol).value
+        value = _t_mixture((0,) * mean.size, a, b, mean, cov, p.nu, tol).value
+        return lambda scale: value
 
     problem = _Recursion(r.lower, r.upper, p.mu, p.precision_inverse(), mass,
                          p.nu / (p.nu - 2.0))
-    return MomentResult(problem.moment(k.k), formula="trunc-literal", mode="literal")
+    return MomentResult(float(problem.moment(k.k)), formula="trunc-literal", mode="literal")

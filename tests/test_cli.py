@@ -81,6 +81,25 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert json.loads(proc.stdout)["value"] is None
 
+    def test_bounded_box_has_every_order(self):
+        proc = run_cli("truncated", "--k", "3", "--lower", "0", "--upper", "1", "--nu", "3")
+        assert proc.returncode == 0
+        assert math.isclose(json.loads(proc.stdout)["value"], 0.062325646146132965,
+                            rel_tol=1e-14)
+
+    @pytest.mark.parametrize("argv", [
+        ("truncated", "--k", "1", "--lower", "0", "--nu", "inf"),
+        ("truncated", "--k", "1,0", "--lower", "0,0", "--nu", "inf"),
+        ("multi", "--k", "1,1", "--nu", "inf"),
+        ("one-d", "--k", "2", "--nu", "inf"),
+        ("oracle", "--k", "2", "--nu", "inf", "--method", "quad"),
+        ("verify", "--k", "2", "--nu", "inf"),
+    ])
+    def test_infinite_nu_is_two(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert "nu must be positive and finite" in proc.stderr
+
     def test_usage_errors_are_two(self):
         assert run_cli("one-d", "--k", "2").returncode == 2  # missing --nu
         assert run_cli("one-d", "--kind", "bogus", "--k", "2", "--nu", "5").returncode == 2

@@ -2,8 +2,9 @@
 
 The closed-form paths must not pay for SciPy: ``import tmoments``, the
 ``one-d`` and ``multi`` subcommands and 1-D ``truncated`` requests load no
-``scipy`` module. The checks run in fresh interpreters and compare module
-sets, so they do not depend on time.
+``scipy`` module, and 2-D ``truncated`` requests load no QUADPACK. The
+checks run in fresh interpreters and compare module sets, so they do not
+depend on time.
 """
 
 import json
@@ -57,14 +58,25 @@ class TestImportBudget:
         ["truncated", "--k", "1", "--lower", "0", "--nu", "5"],
         ["truncated", "--k", "2", "--lower=-1", "--upper", "2", "--mu", "0.2",
          "--sigma", "1.3", "--nu", "7"],
+        ["truncated", "--k", "2", "--lower=-1", "--upper", "2", "--nu", "7",
+         "--mode", "literal"],
     ])
     def test_one_dimensional_truncated_loads_no_scipy(self, argv):
         assert heavy_modules_after(_RUN_CLI.format(argv=argv)) == []
 
+    def test_two_dimensional_truncated_loads_no_quadpack(self):
+        # the mixing integral is the package's own Gauss-Kronrod rule; only
+        # Owen's T and the normal CDF come from scipy.special
+        argv = ["truncated", "--k", "1,0", "--lower", "0,0", "--nu", "5"]
+        loaded = heavy_modules_after(_RUN_CLI.format(argv=argv))
+        assert "scipy.special" in loaded
+        assert "scipy.integrate" not in loaded and "tmoments.oracle" not in loaded
+
     def test_truncated_subcommand_loads_scipy(self):
         # The probe must see SciPy where it is needed, or the checks above
-        # prove nothing: a 2-D box integrates over the gamma mixing law.
-        argv = ["truncated", "--k", "1,0", "--lower", "0,0", "--nu", "5"]
+        # prove nothing: a 3-D box conditions on one axis with QUADPACK.
+        argv = ["truncated", "--k", "1,0,0", "--lower", "0,0,0", "--upper", "1,1,1",
+                "--nu", "5"]
         loaded = heavy_modules_after(_RUN_CLI.format(argv=argv))
         assert "scipy.integrate" in loaded and "tmoments.oracle" in loaded
 

@@ -528,6 +528,14 @@ class TestParameterization:
         with pytest.raises(DomainError):
             scale_from_precision(-1.0)
 
+    @pytest.mark.parametrize("nu", [math.inf, math.nan, -1.0])
+    def test_nu_must_be_positive_and_finite(self, nu):
+        # no route takes the normal limit, so nu = inf is rejected up front
+        with pytest.raises(DomainError, match="nu must be positive and finite"):
+            TParams1D(0.0, 1.0, nu)
+        with pytest.raises(DomainError, match="nu must be positive and finite"):
+            TParamsND([0.0, 0.0], np.eye(2), nu)
+
 
 @pytest.mark.parametrize("make, name", [
     (lambda: TParams1D(math.nan, 1.0, 9.0), "mu"),

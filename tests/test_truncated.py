@@ -1,18 +1,19 @@
 """Truncated moments: normal recursion, closed 1-D and gamma-mixture t moments, literal mode."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import ndtr
 
 from conftest import mp_incomplete_beta
-from tmoments.errors import DomainError
+from tmoments.errors import DomainError, NonConvergenceError
 from tmoments.normal_moments import NormalParams, normal_raw_moment
 from tmoments.oracle import mc_moment_nd, normal_pdf, quad_moment_1d, tensor_quad
-from tmoments.t1d import TParams1D
+from tmoments.t1d import TParams1D, t_pdf
 from tmoments.tnd import TParamsND, raw_moment_nd, raw_moment_nd_literal, t_pdf_nd
 from tmoments.truncated import (Rectangle, _t_mixture, rectangle_probability,
                                 trunc_normal_moment, trunc_t_moment, trunc_t_moment_literal)
@@ -285,6 +286,37 @@ def _t_box_oracle(k, r: Rectangle, p: TParamsND, tol: float, max_refine: int) ->
     return tensor_quad(f, lo, hi, tol=tol, max_refine=max_refine).value
 
 
+def _conditional_box_oracle(k, r: Rectangle, p: TParamsND) -> tuple[float, float]:
+    """Integral of x1^k1 x2^k2 times the 2-D t density over a box and its
+    reported error: QUADPACK over x1 (tangent-substituted) of the marginal
+    density times the closed 1-D truncated moment of X2 given x1.
+
+    Given X1 = x1, X2 is a 1-D t with nu + 1 degrees of freedom, location
+    m2 + c12 (x1 - m1)/c11 and precision-like (nu + 1)/((nu + d) c22.1), with
+    c = Sigma^(-1), d = (x1 - m1)^2/c11 and c22.1 = c22 - c12^2/c11.
+    """
+    c, m, nu = p.precision_inverse(), p.mu, p.nu
+    c221 = c[1, 1] - c[0, 1] ** 2 / c[0, 0]
+    marginal = TParams1D(m[0], 1.0 / c[0, 0], nu)
+    inner = Rectangle([r.lower[1]], [r.upper[1]])
+    scale = math.sqrt(nu * c[0, 0])
+
+    def f(theta):
+        x1 = m[0] + scale * math.tan(theta)
+        cond = TParamsND([m[1] + c[0, 1] / c[0, 0] * (x1 - m[0])],
+                         [[(nu + 1.0) / ((nu + (x1 - m[0]) ** 2 / c[0, 0]) * c221)]], nu + 1.0)
+        return (x1 ** k[0] * t_pdf(x1, marginal) * trunc_t_moment((k[1],), inner, cond).value
+                * scale / math.cos(theta) ** 2)
+
+    lo, hi = (math.atan((v - m[0]) / scale) for v in (r.lower[0], r.upper[0]))
+    # the integrand behaves like cos(theta)^(nu - 1 - |k|) at an open end, so
+    # QUADPACK may stop short of 1e-13 with a warning; its error goes along
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        value, error = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200)[:2]
+    return value, error
+
+
 class TestTruncT:
     def test_half_line_first_moment_two_dof(self):
         # int_0^inf t f(t) dt = sqrt(2)/2 for the standard density at nu = 2
@@ -348,10 +380,33 @@ class TestTruncT:
 
     def test_undefined_order(self):
         p = TParamsND([0.0], [[1.0]], 3.0)
-        res = trunc_t_moment((3,), Rectangle([0.0], [1.0]), p)
+        res = trunc_t_moment((3,), Rectangle([0.0], [INF]), p)
         assert not res.defined
         assert math.isnan(res.value)
         assert res.reason == "order ≥ degrees of freedom"
+        p2 = TParamsND([0.0, 0.0], np.eye(2), 3.0)
+        assert not trunc_t_moment((2, 1), Rectangle([0.0, -1.0], [1.0, INF]), p2).defined
+
+    def test_bounded_box_has_every_order(self):
+        p = TParamsND([0.0], [[1.0]], 3.0)
+        ref = quad_moment_1d("raw", 3, TParams1D(0.0, 1.0, 3.0), bounds=(0.0, 1.0), tol=1e-13)
+        res = trunc_t_moment((3,), Rectangle([0.0], [1.0]), p)
+        assert res.defined and res.diagnostics["quadrature_panels"] > 0
+        assert math.isclose(res.value, ref.value, rel_tol=1e-14)
+        assert math.isclose(res.value, 0.062325646146132965, rel_tol=1e-14)
+        for k, nu in [(5, 0.7), (8, 3.5)]:
+            q = TParamsND([0.4], [[1.3]], nu)
+            got = trunc_t_moment((k,), Rectangle([-1.2], [2.5]), q).value
+            ref = quad_moment_1d("raw", k, TParams1D(0.4, 1.3, nu), bounds=(-1.2, 2.5), tol=1e-13)
+            assert math.isclose(got, ref.value, rel_tol=1e-13), (k, nu)
+        # 2-D and 3-D bounded boxes go through the mixture
+        p2 = TParamsND([0.2, -0.1], [[1.2, 0.4], [0.4, 0.9]], 1.5)
+        r2 = Rectangle([-1.0, -0.5], [1.5, 2.0])
+        for k in [(2, 0), (1, 1), (1, 2)]:
+            got = trunc_t_moment(k, r2, p2)
+            ref = _t_box_oracle(k, r2, p2, tol=1e-13, max_refine=6)
+            assert abs(got.value - ref) <= got.diagnostics["quad_abs_error"] + 1e-13, k
+            assert abs(got.value - ref) <= 1e-9, k
 
     def test_result_metadata(self):
         p = TParamsND([0.0], [[1.0]], 5.0)
@@ -443,6 +498,49 @@ def _mp_box_moments(kmax, boxes, mu, sigma, nu):
         return out
 
 
+class TestMixtureRule:
+    """The Gauss-Kronrod mixing rule of the 2-D route."""
+
+    @pytest.mark.parametrize("rho", [0.3, 0.99, -0.99])
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.7, 2.5, 7.0, 30.0])
+    def test_grid(self, nu, rho):
+        # asked for 1e-12, the rule must deliver it and bound its error
+        cov = _cov([1.2, 0.8], [[1.0, rho], [rho, 1.0]])
+        p = TParamsND([0.3, -0.2], np.linalg.inv(cov), nu)
+        marginal = TParamsND([0.3], [[1.0 / cov[0, 0]]], nu)
+        boxes = {"finite": Rectangle([-0.7, -1.2], [1.3, 0.4]),
+                 "quadrant": Rectangle([0.0, 0.0], [INF, INF]),
+                 "half-plane": Rectangle([0.0, -INF], [INF, INF])}
+        orders = [(i, j) for i in range(3) for j in range(3 - i) if i + j < nu]
+        for name, r in boxes.items():
+            for k in orders:
+                got = trunc_t_moment(k, r, p, tol=1e-12)
+                bound = got.diagnostics["quad_abs_error"]
+                if name == "finite":
+                    ref, ref_error = _t_box_oracle(k, r, p, tol=1e-12, max_refine=6), 1e-12
+                else:
+                    ref, ref_error = _conditional_box_oracle(k, r, p)
+                where = (name, k)
+                assert abs(got.value - ref) <= bound + ref_error, where
+                assert abs(got.value - ref) <= 1e-12 * max(1.0, abs(ref)) + ref_error, where
+                if name == "half-plane" and k[1] == 0:
+                    exact = trunc_t_moment(k[:1], Rectangle([0.0], [INF]), marginal).value
+                    assert abs(got.value - exact) <= bound + 1e-14, where
+
+    def test_large_nu(self):
+        # the mixing law is a peak of width sqrt(2/nu) at t = 1, which the
+        # starting nodes missed (0.0 with a reported error of 0.0 at 1e8 and
+        # up); the moment is the normal one up to O(1/nu)
+        r = Rectangle([-1.0, -1.5], [2.0, 1.0])
+        sigma = [[1.5, 0.4], [0.4, 1.1]]
+        normal = trunc_normal_moment((1, 1), r, [0.4, -0.3], sigma)
+        for nu in (1e10, 1e12):
+            got = trunc_t_moment((1, 1), r, TParamsND([0.4, -0.3], sigma, nu))
+            assert abs(got.value - normal) <= 1e-9, nu
+        with pytest.raises(NonConvergenceError, match="resolution"):
+            trunc_t_moment((1, 1), r, TParamsND([0.4, -0.3], sigma, 1e300))
+
+
 class TestTruncT1D:
     """The closed 1-D route: incomplete-beta mass, t-level recurrence, and
     Gauss-Legendre panels where the recurrence's rounding bound is too large."""
@@ -474,6 +572,20 @@ class TestTruncT1D:
         got = trunc_t_moment((6,), Rectangle([1.77], [4.6]), p).value
         ref = _mp_box_moments(6, [(1.77, 4.6)], -1.98, 1.0, 38.0)[(1.77, 4.6)][6]
         assert abs(got - ref) <= 1e-14 * ref
+
+    def test_far_bounds(self):
+        # z^2 overflows past about 1.3e154; such a bound must not act as an
+        # infinite one (the moment was 0.0 with zero reported errors)
+        c = math.gamma(2.0) / (math.gamma(1.5) * math.sqrt(3.0 * math.pi))
+        p = TParamsND([0.0], [[1.0]], 3.0)
+        res = trunc_t_moment((2,), Rectangle([1e200], [INF]), p)
+        assert math.isclose(res.value, 9.0 * c / 1e200, rel_tol=1e-12)
+        assert res.diagnostics["recurrence_error"] <= 1e-12 * res.value
+        # k = nu on a bounded box: t^3 f ~ 9c/t, so the panels past the
+        # underflow of f carry most of the integral 4.5c (ln(1 + x^2/3) + 1/(1 + x^2/3) - 1)
+        got = trunc_t_moment((3,), Rectangle([0.0], [1e200]), p).value
+        ref = 4.5 * c * (2.0 * math.log(1e200) - math.log(3.0) - 1.0)
+        assert math.isclose(got, ref, rel_tol=1e-12)
 
     def test_short_reach_uses_panels(self):
         # [-0.5, 0] lies 3 to 3.5 scale units below mu: the moments shrink with
@@ -550,12 +662,13 @@ class TestTruncTLiteral:
 
     def test_pinned_values(self):
         # the comparison mode has no oracle, so a change to the recursion must
-        # leave these values in place to relative 1e-12
+        # leave these values in place to relative 1e-12; they are the masses'
+        # converged values (QUADPACK at tol 1e-14), not those of a rule at 1e-9
         p1 = TParamsND([0.3], [[1.7]], 6.5)
         p2 = TParamsND([0.4, -0.3], [[1.5, 0.4], [0.4, 1.1]], 7.0)
-        cases = [((3,), Rectangle([-0.8], [1.9]), p1, 0.7288794877354302),
-                 ((2, 1), Rectangle([-1.0, -1.5], [2.0, 1.0]), p2, -0.2301161772724794),
-                 ((1, 2), Rectangle([-0.5, -INF], [1.5, 0.7]), p2, 0.5100667117061999)]
+        cases = [((3,), Rectangle([-0.8], [1.9]), p1, 0.7288794877358197),
+                 ((2, 1), Rectangle([-1.0, -1.5], [2.0, 1.0]), p2, -0.23011617728654102),
+                 ((1, 2), Rectangle([-0.5, -INF], [1.5, 0.7]), p2, 0.510066711706079)]
         for k, r, p, ref in cases:
             got = trunc_t_moment_literal(k, r, p).value
             assert math.isclose(got, ref, rel_tol=1e-12), k
