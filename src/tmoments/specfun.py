@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NonConvergenceError
 
-#: Hard cap on series length; reaching it raises NonConvergenceError.
+#: Hard cap on series length: a series that has not converged within it, or
+#: a terminating one that is longer, raises NonConvergenceError.
 MAX_SERIES_TERMS = 10_000
 
 _STOP_EPS = 2.0 ** -53
@@ -123,17 +124,17 @@ def _gamma_half_ratio(x: float) -> float:
     The difference of log-gamma values loses the ratio's digits once x is
     large (lgamma(5e5) carries an absolute error near 1e-9). Instead x is
     moved up to at least 10 by Gamma(x+1/2)/Gamma(x) = (x+1/2)/x *
-    Gamma(x+3/2)/Gamma(x+1), and the log of the ratio there is the
-    difference of the two Stirling series, with x log(1 + 1/(2x)) - 1/2 taken
-    through log1p.
+    Gamma(x+3/2)/Gamma(x+1), and the ratio there is sqrt(x) times the
+    exponential of the difference of the two Stirling series, with
+    x log(1 + 1/(2x)) - 1/2 taken through log1p. The factor sqrt(x) stays
+    out of the exponential, whose rounding would grow with log x.
     """
     scale = 1.0
     while x < 10.0:
         scale *= x / (x + 0.5)
         x += 1.0
-    log_ratio = (0.5 * math.log(x) + (x * math.log1p(0.5 / x) - 0.5)
-                 + (_stirling(x + 0.5) - _stirling(x)))
-    return scale * math.exp(log_ratio)
+    log_ratio = (x * math.log1p(0.5 / x) - 0.5) + (_stirling(x + 0.5) - _stirling(x))
+    return scale * math.sqrt(x) * math.exp(log_ratio)
 
 
 def _stirling(y: float) -> float:
@@ -244,12 +245,17 @@ def _series(a: float, b: float | None, c: float, z: float, limit: int,
     """Taylor sum of 2F1(a, b; c; z), or of 1F1(a; c; z) when ``b`` is None.
 
     A terminating series sums all ``limit`` + 1 terms, zero terms included,
-    with error 0. Otherwise summing stops at the first term that is zero or
-    negligible against the running sum, and that term is the error estimate;
-    ``limit`` terms without stopping raise NonConvergenceError. A term that is
-    not a finite double raises OverflowError. Returns
-    (value, terms_used, est_error).
+    with error 0; one longer than ``MAX_SERIES_TERMS`` raises
+    NonConvergenceError before a term is formed. Otherwise summing stops at
+    the first term that is zero or negligible against the running sum, and
+    that term is the error estimate; ``limit`` terms without stopping raise
+    NonConvergenceError. A term that is not a finite double raises
+    OverflowError. Returns (value, terms_used, est_error).
     """
+    if terminating and limit > MAX_SERIES_TERMS:
+        raise NonConvergenceError(
+            f"{_series_name(a, b, c, z)} terminates after {limit:g} terms, more than the "
+            f"{MAX_SERIES_TERMS} summed")
     terms = [1.0]
     term = 1.0
     running = 1.0

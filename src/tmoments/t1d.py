@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .normal_moments import _SQRT_2_OVER_PI, _check_order, _log_gamma_moment, _log_normal_scale
+from .normal_moments import (_SQRT_2_OVER_PI, _check_order, _gamma_moment, _log_gamma_moment,
+                             _log_normal_scale)
 from .specfun import _product, hyp2f1
 
 #: Moment kinds of the univariate closed forms, the 1-D oracle and the CLI.
@@ -155,8 +156,7 @@ def _abs_scale(k: float, nu: float, sigma: float) -> float:
     if k % 2 == 0:
         return _product(int(k) // 2, 1, 2, nu, nu, -2, sigma)
     if k % 2 == 1:
-        first = (_SQRT_2_OVER_PI / math.sqrt(sigma)
-                 * math.exp(_log_gamma_moment(nu / 2.0, nu / 2.0, -0.5)))
+        first = _SQRT_2_OVER_PI / math.sqrt(sigma) * _gamma_moment(nu / 2.0, nu / 2.0, -0.5)
         return _product(int(k) // 2, 2, 2, nu, nu - 1.0, -2, sigma, first)
     return math.exp(_log_normal_scale(k, -math.log(sigma))
                     + _log_gamma_moment(nu / 2.0, nu / 2.0, -k / 2.0))

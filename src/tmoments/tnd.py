@@ -20,6 +20,15 @@ degree K below nu are produced three ways:
   coincide up to total degree 2 but the literal variant is biased beyond that
   (for example it yields 3 nu^2/(nu-2)^2 for the standardized 4th moment
   instead of 3 nu^2/((nu-2)(nu-4))), and is kept only for comparison.
+
+The polynomial comes from the one-step normal recursion (Kan & Robotti
+2017), run as a numpy sweep over the lattice of multi-indices below k, one
+coordinate stage at a time: about sum_i k_i (n - i) array operations over
+at most prod(k_i + 1) (|k|//2 + 1) entries, where a memoised scalar
+recursion took a Python operation per entry, coordinate and power. It keeps
+the lattice of the coordinates after the first and three arrays of its size,
+and refuses a lattice of more than ``_MAX_LATTICE`` entries with
+``DomainError`` before allocating it.
 """
 
 from __future__ import annotations
@@ -34,6 +43,12 @@ from .normal_moments import GammaParams, _check_order, _gamma_moment, _normal_sc
 from .t1d import MomentResult, _order_gate
 
 _SYMMETRY_TOL = 1e-12
+
+#: Largest lattice prod(k_i + 1) (|k|//2 + 1) the conditional polynomial is
+#: swept over: at most 16 bytes of work space an entry (32 MB), and at most
+#: about 0.1 s on a 2-core x86 container. The largest orders of the benchmark
+#: decks, 5-D of total 20, span about 34 000 entries.
+_MAX_LATTICE = 2_000_000
 
 
 def _check_spd(mat, what: str) -> np.ndarray:
@@ -208,44 +223,103 @@ def std_abs_moment_nd(k, nu: float) -> MomentResult:
     return _std_moment_nd(k, nu, "abs-standard-nd", raw=False)
 
 
-def _conditional_poly(k: tuple[int, ...], mu: list[float], prec_inv: list[list[float]],
-                      memo: dict) -> dict[int, float]:
-    # One-step recursion for the conditional normal moment, kept symbolic in
-    # the reciprocal mixing power: lowering the first active coordinate i,
-    # E(X^(k'+e_i) | t) = mu_i E(X^k' | t) + (1/t) sum_j S_ij k'_j E(X^(k'-e_j) | t)
-    # with S = Sigma^(-1); multiplying by 1/t shifts every power up by one.
-    poly = memo.get(k)
-    if poly is not None:
-        return poly
-    if not any(k):
-        poly = {0: 1.0}
-    else:
-        i = next(idx for idx, ki in enumerate(k) if ki)
-        base = k[:i] + (k[i] - 1,) + k[i + 1:]
-        lower = _conditional_poly(base, mu, prec_inv, memo)
-        poly = {m: mu[i] * c for m, c in lower.items()} if mu[i] != 0.0 else {}
-        for j, kj in enumerate(base):
-            w = prec_inv[i][j] * kj
-            if w != 0.0:
-                sub = _conditional_poly(base[:j] + (kj - 1,) + base[j + 1:], mu, prec_inv, memo)
-                for m, c in sub.items():
-                    poly[m + 1] = poly.get(m + 1, 0.0) + w * c
-    memo[k] = poly
-    return poly
+def _conditional_poly(k: list[int], mu: list[float], prec_inv: list[list[float]]) -> np.ndarray:
+    """Coefficients of E(X^k | t) in the powers t^0, ..., t^(-|k|//2), for
+    orders k that are all positive.
+
+    The one-step recursion for the conditional normal moment, kept symbolic
+    in the reciprocal mixing power, lowers the first active coordinate i:
+
+        E(X^(k'+e_i) | t) = mu_i E(X^k' | t) + (1/t) sum_j S_ij k'_j E(X^(k'-e_j) | t)
+
+    with S = Sigma^(-1); multiplying by 1/t shifts every power up by one, and
+    a term whose weight mu_i or S_ij k'_j is zero is skipped. The recursion
+    visits every multi-index below k, so it is run as a sweep over that
+    lattice, one coordinate stage at a time from the last to the first.
+    Stage i holds an array over (k_i, the later coordinates, power). Its
+    slab at k_i = 0 is the whole of stage i+1, and its slab at k_i = q is, in
+    this order, mu_i times slab q-1, plus S_ii (q-1) times slab q-2, plus,
+    for each later j, S_ij k'_j times slab q-1 shifted one down along axis j,
+    the last two one power up. Each term is one array operation over the
+    slab, and the terms are added in the order of the scalar recursion, so
+    every coefficient is the same rounded sum. A power no term reaches holds
+    a zero, which enters those sums; only the sign of a sum that is zero
+    (an underflow) can tell. Stage 0 is needed only at its last slab, so it
+    cycles through three.
+    """
+    n = len(k)
+    lattice = np.zeros(sum(k) // 2 + 1)
+    lattice[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in reversed(range(n)):
+            # slab axes: coordinates i+1, ..., n-1, then power
+            cross = []
+            for j in range(i + 1, n):
+                if prec_inv[i][j] != 0.0:
+                    axis = (slice(None),) * (j - i - 1)
+                    weight = prec_inv[i][j] * np.arange(1, k[j] + 1)
+                    cross.append((axis + (slice(1, None), Ellipsis, slice(1, None)),
+                                  axis + (slice(None, -1), Ellipsis, slice(None, -1)),
+                                  weight.reshape((k[j],) + (1,) * (n - j))))
+            depth = k[i] + 1 if i else min(k[i] + 1, 3)
+            stage = np.empty((depth,) + lattice.shape)
+            stage[0] = lattice
+            for q in range(1, k[i] + 1):
+                below, slab = stage[(q - 1) % depth], stage[q % depth]
+                if mu[i] != 0.0:
+                    np.multiply(below, mu[i], out=slab)
+                else:
+                    slab.fill(0.0)
+                if q > 1 and prec_inv[i][i] != 0.0:
+                    shifted = slab[..., 1:]
+                    shifted += stage[(q - 2) % depth][..., :-1] * (prec_inv[i][i] * (q - 1))
+                for out, src, weight in cross:
+                    shifted = slab[out]
+                    shifted += below[src] * weight
+            lattice = stage if i else stage[k[i] % depth]
+    # the corner of the last slab, every later coordinate at its full order
+    return lattice.reshape(-1, lattice.shape[-1])[-1]
 
 
 def conditional_moment_poly(k, p: TParamsND) -> MixturePoly:
     """E(X^k | mixing value t) for X ~ N(mu, (t Sigma)^(-1)), as a 1/t polynomial.
 
     The maximum reciprocal power is at most ceil(total/2), reached by the
-    pure covariance contributions.
+    pure covariance contributions. The polynomial comes from one sweep over
+    the lattice of multi-indices below k (see :func:`_conditional_poly`):
+    about sum_i k_i (n - i) array operations over at most
+    prod(k_i + 1) (|k|//2 + 1) entries, holding the lattice of the
+    coordinates after the first and three arrays of its size.
+    Coordinates of order zero are left out first: they are never lowered and
+    their weights S_ij k'_j are zero. A lattice of more than ``_MAX_LATTICE``
+    entries raises ``DomainError`` before anything is allocated.
+
+    The polynomial holds the powers some term of the recursion reached. With
+    no zero among the weights mu_i and S_ij of the coordinates left, that is
+    every power up to |k|//2; otherwise it is where the sweep of the
+    weights' zero pattern (1 for a nonzero weight) is positive.
     """
     k = MultiIndex.of(k)
     if k.dim != p.dim:
         raise DomainError(f"order has dimension {k.dim}, parameters have {p.dim}")
-    # Python floats overflow to inf silently, where numpy scalars warn.
-    prec_inv = p.precision_inverse().tolist()
-    return MixturePoly(_conditional_poly(k.k, p.mu.tolist(), prec_inv, {}))
+    entries = math.prod(ki + 1 for ki in k.k) * (k.total // 2 + 1)
+    if entries > _MAX_LATTICE:
+        raise DomainError(
+            f"order {k.k} spans a recursion lattice of {entries} entries, more than the "
+            f"{_MAX_LATTICE} supported")
+    mu, prec_inv = p.mu.tolist(), p.precision_inverse().tolist()
+    active = [i for i, ki in enumerate(k.k) if ki]
+    orders = [k.k[i] for i in active]
+    mu = [mu[i] for i in active]
+    prec_inv = [[prec_inv[i][j] for j in active] for i in active]
+    coeffs = _conditional_poly(orders, mu, prec_inv).tolist()
+    if all(mu) and all(map(all, prec_inv)):
+        reached = range(len(coeffs))
+    else:
+        pattern = _conditional_poly(orders, [float(v != 0.0) for v in mu],
+                                    [[float(v != 0.0) for v in row] for row in prec_inv])
+        reached = np.flatnonzero(pattern).tolist()
+    return MixturePoly({m: coeffs[m] for m in reached})
 
 
 def raw_moment_nd(k, p: TParamsND) -> MomentResult:

@@ -405,7 +405,9 @@ def _t_mixture(k: tuple[int, ...], a: np.ndarray, b: np.ndarray, mean: np.ndarra
     in t, so for nu >= 2 the integrand is bounded and free of sqrt(t) terms
     already, and m = 1 leaves the bulk of the mixing law on more of (0, 1).
     One recursion, its faces built once, runs per refinement level of
-    :func:`_gauss_kronrod` over all new nodes at covariance scale 1/t.
+    :func:`_gauss_kronrod` over all new nodes at covariance scale 1/t. A
+    mixing law narrower than the rule resolves gives the normal moment at
+    t = 1 instead, with no mixing node (``evaluations`` 0).
     """
     alpha = 0.5 * nu
     # log of alpha^alpha e^-alpha / Gamma(alpha), which lgamma would leave to
@@ -437,9 +439,10 @@ def _t_mixture(k: tuple[int, ...], a: np.ndarray, b: np.ndarray, mean: np.ndarra
     # the starting nodes could miss: edges 8 widths either side expose it.
     reach = 8.0 * math.sqrt(2.0 / nu) / m
     if reach < 1e-8:
-        raise NonConvergenceError(
-            f"mixing integral: nu = {nu:g} concentrates the mixing law below the "
-            f"resolution of the rule", value=math.nan, est_error=math.inf)
+        # Narrower than the rule resolves, the mixing law is all but a point
+        # mass at t = 1: the normal moment differs by O(1/nu), below double
+        # precision here. No mixing node is evaluated.
+        return QuadResult(float(problem.moment(k)), 0.0, 0)
     edges = ((0.0, 0.25, 0.5, 0.75, 1.0) if reach > 0.5 else
              (0.0, 0.25, 1.0 / (1.0 + math.exp(reach)), 0.5, 1.0 / (1.0 + math.exp(-reach)),
               0.75, 1.0))
@@ -676,8 +679,11 @@ def trunc_t_moment(k, r: Rectangle, p: TParamsND, *, tol: float = 1e-9) -> Momen
     exist for k < nu (total order) or, on a box with every bound finite, for
     every k; orders k >= nu on a bounded box raise ``NonConvergenceError``
     where the recursion's rounding, which grows like t^(-k/2) as t -> 0,
-    swamps the mixing weight, and so does nu above about 1e17, where the
-    mixing law is narrower than the rule resolves.
+    swamps the mixing weight. Above about nu = 3e17 (1.3e18 on a bounded
+    box) the mixing law is narrower than the rule resolves; there the
+    normal moment of N(mu, Sigma^(-1)), :func:`trunc_normal_moment`, answers
+    (formula ``trunc-normal-limit``, no diagnostics), as it equals the t
+    moment up to O(1/nu), below double precision.
     """
     k = _check_box("trunc_t_moment", k, r, p.dim)
     formula = "trunc-recurrence" if p.dim == 1 else "trunc-mixture"
@@ -689,6 +695,8 @@ def trunc_t_moment(k, r: Rectangle, p: TParamsND, *, tol: float = 1e-9) -> Momen
                                    float(p.mu[0]), float(p.sigma_mat[0, 0]), float(p.nu))
         return MomentResult(value, formula=formula, mode="corrected", diagnostics=diag)
     quad_res = _t_mixture(k.k, r.lower, r.upper, p.mu, p.precision_inverse(), p.nu, tol)
+    if not quad_res.evaluations:
+        return MomentResult(quad_res.value, formula="trunc-normal-limit", mode="corrected")
     return MomentResult(quad_res.value, formula="trunc-mixture", mode="corrected",
                         diagnostics={"quad_abs_error": quad_res.est_abs_error,
                                      "quad_evaluations": quad_res.evaluations})

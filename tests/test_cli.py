@@ -179,6 +179,19 @@ class TestExitCodes:
         assert payload["reason"].startswith("numerical overflow")
         assert proc.stderr.splitlines() == [f"error: {payload['reason']}"]
 
+    def test_huge_recursion_lattice_is_two(self):
+        # the scalar recursion raised RecursionError here (a traceback, exit 1)
+        proc = run_cli("multi", "--k", "600,600", "--mu", "0.1,0.2", "--nu", "1e6")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "lattice" in lines[0]
+        p = TParamsND([0.1, 0.2], [[400.0, 100.0], [100.0, 300.0]], 1e6)
+        payload = run_json("multi", "--k", "300,2", "--mu", "0.1,0.2", "--nu", "1e6",
+                           "--sigma-mat", "[[400,100],[100,300]]")
+        assert payload["value"] == raw_moment_nd((300, 2), p).value
+        assert payload["diagnostics"]["reciprocal_powers"] == 151
+
     def test_bounded_four_dimensional_truncation_is_two(self):
         proc = run_cli("truncated", "--k", "1,0,0,0", "--lower=0,0,0,0", "--nu", "10")
         assert proc.returncode == 2

@@ -1,6 +1,7 @@
 """Normal and gamma moment building blocks, checked against direct quadrature."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tmoments.errors import DomainError, UndefinedMomentError
+from tmoments.errors import DomainError, NonConvergenceError, UndefinedMomentError
 from tmoments.normal_moments import (GammaParams, NormalParams, gamma_moment,
                                      normal_abs_moment, normal_central_moment,
                                      normal_raw_moment)
@@ -92,6 +93,14 @@ class TestNormalAbs:
         assert normal_abs_moment(p, -0.5) > 0.0
         with pytest.raises(DomainError):
             normal_abs_moment(p, -1.0)
+
+    def test_huge_even_order_is_refused_at_once(self):
+        # the terminating 1F1 has 5e249 terms; the series kept every one in a
+        # list until the process ran out of memory
+        start = time.perf_counter()
+        with pytest.raises(NonConvergenceError, match="terminates after"):
+            normal_abs_moment(NormalParams(0.0, 1e-200), 1e250)
+        assert time.perf_counter() - start < 1.0
 
     def test_even_orders_match_raw(self):
         p = NormalParams(-2.4, 3.0)

@@ -215,6 +215,16 @@ class TestHyp1F1:
         assert res.terminating
         assert math.isclose(res.value, 1.5, rel_tol=1e-15)
 
+    def test_terminating_series_length_is_capped(self):
+        # a terminating series is summed term by term: MAX_SERIES_TERMS terms
+        # are, one more is refused before any is formed
+        res = hyp1f1(-float(MAX_SERIES_TERMS), 0.5, -1e-3)
+        assert res.terminating and res.terms_used == MAX_SERIES_TERMS + 1
+        with pytest.raises(NonConvergenceError, match="terminates after 10001 terms"):
+            hyp1f1(-float(MAX_SERIES_TERMS + 1), 0.5, -1e-3)
+        with pytest.raises(NonConvergenceError):
+            hyp2f1(-float(MAX_SERIES_TERMS + 1), 2.5, 0.5, -0.2)
+
 
 class TestHyp2F1:
     def test_terminating_flag_semantics(self):

@@ -368,8 +368,8 @@ class TestScaleSweep:
     that scale alone lies outside the normal double range, a value inside it
     can lose digits or fail (ROADMAP item 5, concentrated location), so there
     only the outcome is checked. Odd total orders of std_abs_moment_nd take
-    the log-gamma ratio E(lambda^(-K/2)) at a half-integer order, whose loss
-    at large nu is pinned by test_half_integer_mixing_order_loses_digits.
+    E(lambda^(-K/2)) at a half-integer order, which starts its product at the
+    accurate ratio Gamma(x - 1/2)/Gamma(x), so they are checked as closely.
     """
 
     @given(st.integers(0, 400), st.floats(-300.0, 300.0), st.floats(-10.0, 10.0),
@@ -424,7 +424,7 @@ class TestScaleSweep:
                 ref = 0
             else:
                 ref = _mp_std_abs_nd(ks, nu)
-            _check_against(lambda: fn(tuple(ks), nu), ref, check_accuracy=total % 2 == 0)
+            _check_against(lambda: fn(tuple(ks), nu), ref)
 
     @pytest.mark.parametrize("k", [19_998, 20_002, 200_000])
     def test_long_products(self, k):
@@ -443,12 +443,38 @@ class TestScaleSweep:
         got = gamma_moment(GammaParams(alpha, alpha), -k // 2)
         assert abs(got - gamma_ref) <= 1e-12 * gamma_ref, (got, mpmath.nstr(gamma_ref, 17))
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: Gamma(x - 1/2)/Gamma(x) is an "
-                                           "lgamma difference, which loses digits at large x")
-    def test_half_integer_mixing_order_loses_digits(self):
+    def test_half_integer_mixing_order_keeps_digits(self):
+        # Gamma(x - 1/2)/Gamma(x) as an lgamma difference was 1.6e-5 off here
         with mpmath.workdps(40):
             ref = _mp_std_abs_nd((1,), 1e10)
         assert math.isclose(std_abs_moment_nd((1,), 1e10).value, ref, rel_tol=1e-13)
+
+    @given(st.integers(-400, 400), st.floats(-3.0, 15.0), st.floats(-3.0, 15.0),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_gamma_half_integer_orders(self, twice_k, log_alpha, log_beta, mixing):
+        # the accurate order +-1/2 times the product of the other factors
+        k = twice_k / 2.0 + (0.5 if twice_k % 2 == 0 else 0.0)
+        alpha = 10.0 ** log_alpha
+        beta = alpha if mixing else 10.0 ** log_beta
+        with mpmath.workdps(40):
+            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+            ref = b ** (-k) * mpmath.gamma(k + a) / mpmath.gamma(a) if k > -alpha else 0
+            _check_against(lambda: gamma_moment(GammaParams(alpha, beta), k), ref)
+
+    @pytest.mark.parametrize("nu", [1.5, 3.0, 1e10, 1e15, 1e100, 1e308])
+    def test_first_absolute_moment_at_large_nu(self, nu):
+        # E|T - mu| = sqrt(2/pi) sqrt(nu/2) Gamma((nu-1)/2)/Gamma(nu/2) / sqrt(sigma);
+        # the mixing factor tends to 1, where the lgamma difference was 1.6e-5
+        # off at nu = 1e10 and overflowed at nu = 1e308
+        # log Gamma(nu/2) needs about log10(nu) digits beyond the 20 kept
+        with mpmath.workdps(20 + int(math.log10(nu))):
+            half = mpmath.mpf(nu) / 2
+            ref = (mpmath.sqrt(2 / mpmath.pi) * mpmath.sqrt(half)
+                   * mpmath.exp(mpmath.loggamma(half - mpmath.mpf(1) / 2)
+                                - mpmath.loggamma(half)))
+        got = central_abs_moment(1, TParams1D(0.0, 1.0, nu)).value
+        assert abs(got - ref) <= 1e-15 * ref, (got, mpmath.nstr(ref, 17))
 
 
 class TestScaleMixtureTable:

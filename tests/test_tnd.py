@@ -1,6 +1,7 @@
 """Multivariate t moments: standardized closed forms and the two recursions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from tmoments.errors import DomainError
 from tmoments.normal_moments import NormalParams, normal_raw_moment
 from tmoments.oracle import mc_moment_nd, quad_mass_nd
 from tmoments.t1d import TParams1D, abs_moment_standard, raw_moment, raw_moment_standard, t_pdf
-from tmoments.tnd import (MultiIndex, TParamsND, conditional_moment_poly, raw_moment_nd,
-                          raw_moment_nd_literal, std_abs_moment_nd, std_raw_moment_nd,
-                          t_pdf_nd)
+from tmoments.tnd import (MixturePoly, MultiIndex, TParamsND, conditional_moment_poly,
+                          raw_moment_nd, raw_moment_nd_literal, std_abs_moment_nd,
+                          std_raw_moment_nd, t_pdf_nd)
 
 
 def all_indices(n, max_total):
@@ -164,6 +165,115 @@ class TestConditionalPoly:
         p = TParamsND([0.0, 0.0], np.eye(2), 9.0)
         with pytest.raises(DomainError, match="dimension"):
             conditional_moment_poly((1, 1, 1), p)
+
+
+def _dict_recursion(k, mu, prec_inv, memo):
+    """The scalar recursion the lattice sweep replaced, as its oracle: one dict
+    of reciprocal powers per multi-index, memoised, lowering the first active
+    coordinate i by
+    E(X^(k'+e_i) | t) = mu_i E(X^k' | t) + (1/t) sum_j S_ij k'_j E(X^(k'-e_j) | t)
+    and skipping a term whose weight is zero."""
+    poly = memo.get(k)
+    if poly is not None:
+        return poly
+    if not any(k):
+        poly = {0: 1.0}
+    else:
+        i = next(idx for idx, ki in enumerate(k) if ki)
+        base = k[:i] + (k[i] - 1,) + k[i + 1:]
+        lower = _dict_recursion(base, mu, prec_inv, memo)
+        poly = {m: mu[i] * c for m, c in lower.items()} if mu[i] != 0.0 else {}
+        for j, kj in enumerate(base):
+            w = prec_inv[i][j] * kj
+            if w != 0.0:
+                sub = _dict_recursion(base[:j] + (kj - 1,) + base[j + 1:], mu, prec_inv, memo)
+                for m, c in sub.items():
+                    poly[m + 1] = poly.get(m + 1, 0.0) + w * c
+    memo[k] = poly
+    return poly
+
+
+def _reference_poly(k, p):
+    return _dict_recursion(tuple(k), p.mu.tolist(), p.precision_inverse().tolist(), {})
+
+
+def _bits(coeffs):
+    """Each coefficient's bits; a zero one by value. A coefficient that
+    underflows to zero can carry the other sign of zero than in the scalar
+    recursion, where a zero the sweep holds for a power no term reached
+    enters its sum; no moment value sees that sign, as fsum of zeros is +0."""
+    return {m: float(c).hex() if c else 0.0 for m, c in coeffs.items()}
+
+
+@st.composite
+def _sweep_cases(draw):
+    """An order of dimension 1-5 and total at most 20, with mu entries that
+    may be exactly 0 and a block-diagonal matrix: Sigma^(-1) is zero between
+    blocks and diagonal when every block is one coordinate, and negative
+    factor entries give negative correlations."""
+    n = draw(st.integers(1, 5))
+    total = draw(st.integers(0, 20))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    k = tuple(hi - lo for lo, hi in zip([0] + cuts, cuts + [total]))
+    mu = draw(st.lists(st.just(0.0) | st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    sigma = np.zeros((n, n))
+    start = 0
+    while start < n:
+        size = draw(st.integers(1, n - start))
+        factor = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=size * size,
+                                        max_size=size * size))).reshape(size, size)
+        block = slice(start, start + size)
+        sigma[block, block] = factor @ factor.T + 0.5 * np.eye(size)
+        start += size
+    return k, TParamsND(mu, sigma, total + 3.0)
+
+
+class TestLatticeSweep:
+    """The numpy lattice sweep against the scalar dict recursion it replaced."""
+
+    @given(_sweep_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_dict_recursion(self, case):
+        k, p = case
+        ref = _reference_poly(k, p)
+        assert _bits(conditional_moment_poly(k, p).coeffs) == _bits(ref)
+        res = raw_moment_nd(k, p)
+        assert res.value == MixturePoly(ref).mixture_mean(p.nu)
+        if sum(k):
+            assert res.diagnostics["reciprocal_powers"] == max(ref, default=0)
+
+    def test_diagonal_matrix_reaches_no_cross_power(self):
+        # with S_01 = 0 no term of E(X_0 X_1 | t) carries 1/t, so the
+        # polynomial has no power 1 at all, not a zero coefficient there
+        p = TParamsND([0.5, -1.5], np.diag([2.0, 0.5]), 9.0)
+        assert conditional_moment_poly((1, 1), p).coeffs == {0: 0.5 * -1.5}
+        assert raw_moment_nd((1, 1), p).diagnostics["reciprocal_powers"] == 0
+        centred = TParamsND([0.0, 0.0], np.diag([2.0, 0.5]), 9.0)
+        assert conditional_moment_poly((1, 1), centred).coeffs == {}
+        res = raw_moment_nd((1, 1), centred)
+        assert res.value == 0.0 and res.diagnostics["reciprocal_powers"] == 0
+
+    def test_huge_lattice_is_refused(self):
+        # (600, 600) spans 601 * 601 * 601 entries; the scalar recursion
+        # raised RecursionError here
+        p = TParamsND([0.1, 0.2], [[1.0, 0.3], [0.3, 1.0]], 1e6)
+        for fn in (raw_moment_nd, raw_moment_nd_literal, conditional_moment_poly):
+            with pytest.raises(DomainError, match="lattice"):
+                fn((600, 600), p)
+
+    def test_high_order_matches_dict_recursion(self):
+        p = TParamsND([0.1, 0.2], [[400.0, 100.0], [100.0, 300.0]], 1e6)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 5000))
+        try:
+            ref = _reference_poly((300, 2), p)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert _bits(conditional_moment_poly((300, 2), p).coeffs) == _bits(ref)
+        res = raw_moment_nd((300, 2), p)
+        assert res.value == MixturePoly(ref).mixture_mean(p.nu)
+        assert 0.0 < res.value < math.inf
+        assert res.diagnostics["reciprocal_powers"] == 151
 
 
 class TestCorrectedRecursion:

@@ -10,7 +10,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import ndtr
 
 from conftest import mp_incomplete_beta
-from tmoments.errors import DomainError, NonConvergenceError
+from tmoments.errors import DomainError
 from tmoments.normal_moments import NormalParams, normal_raw_moment
 from tmoments.oracle import mc_moment_nd, normal_pdf, quad_moment_1d, tensor_quad
 from tmoments.t1d import TParams1D, t_pdf
@@ -537,8 +537,34 @@ class TestMixtureRule:
         for nu in (1e10, 1e12):
             got = trunc_t_moment((1, 1), r, TParamsND([0.4, -0.3], sigma, nu))
             assert abs(got.value - normal) <= 1e-9, nu
-        with pytest.raises(NonConvergenceError, match="resolution"):
-            trunc_t_moment((1, 1), r, TParamsND([0.4, -0.3], sigma, 1e300))
+        # at 1e15 the rule still resolves the peak, and agrees with the normal
+        # moment within its reported error
+        got = trunc_t_moment((1, 1), r, TParamsND([0.4, -0.3], sigma, 1e15))
+        assert got.formula == "trunc-mixture"
+        assert abs(got.value - normal) <= got.diagnostics["quad_abs_error"]
+        assert got.diagnostics["quad_abs_error"] < 2e-10
+
+    @pytest.mark.parametrize("nu", [1e20, 1e300])
+    def test_normal_limit(self, nu):
+        # beyond the resolution of the mixing rule, which raised NonConvergenceError here,
+        # the normal moment answers: it is the t moment up to O(1/nu)
+        r = Rectangle([-1.0, -1.5], [2.0, 1.0])
+        sigma = [[1.5, 0.4], [0.4, 1.1]]
+        p = TParamsND([0.4, -0.3], sigma, nu)
+        got = trunc_t_moment((1, 1), r, p)
+        assert got.formula == "trunc-normal-limit"
+        assert got.value == trunc_normal_moment((1, 1), r, [0.4, -0.3], sigma)
+        assert got.value == -0.1425612355349587
+        half_plane = Rectangle([-1.0, -INF], [2.0, 1.0])
+        assert (trunc_t_moment((2, 1), half_plane, p).value
+                == trunc_normal_moment((2, 1), half_plane, [0.4, -0.3], sigma))
+        assert trunc_t_moment_literal((1, 1), r, p).value == got.value
+        r3 = Rectangle([-1.0, -0.5, -1.2], [1.5, 1.0, 0.8])
+        sigma3 = np.eye(3) + 0.2
+        got3 = trunc_t_moment((1, 0, 1), r3, TParamsND([0.1, 0.2, -0.1], sigma3, nu))
+        assert got3.formula == "trunc-normal-limit"
+        ref3 = trunc_normal_moment((1, 0, 1), r3, [0.1, 0.2, -0.1], sigma3)
+        assert abs(got3.value - ref3) <= 1e-12 * abs(ref3)
 
 
 class TestTruncT1D:
