@@ -11,10 +11,12 @@ non-convergence, overflow (a value beyond the double range) or failed
 estimation. The oracle seed is taken from --seed, else the TMOMENT_SEED
 environment variable, else 12345.
 
-Each subcommand imports only the modules it needs: one-d, multi and 1-D
-corrected-mode truncated requests run on numpy alone, while other truncated
-requests, oracle and verify load SciPy (through the truncated and oracle
-modules) when their request arrives.
+Each subcommand imports only the modules it needs, when its request
+arrives: one-d, multi and 1-D truncated requests run on numpy alone; 2-D and
+3-D truncated requests load ``scipy.special`` (Owen's T, through the
+truncated module) and nothing else from SciPy; oracle and verify load the
+oracle module, and with it QUADPACK (``scipy.integrate``) and
+``scipy.linalg``.
 """
 
 from __future__ import annotations

@@ -33,21 +33,21 @@ inherit both:
   faces are built once per call; each refinement level runs the memoised
   recursion once over all its nodes, with the masses evaluated on arrays.
   This is exact up to the rule's error. In 1-D the same mixture
-  (``_t_mixture``) is the test oracle of the closed route.
+  (``_t_mixture``) is the tests' reference for the closed route.
 * ``trunc_t_moment_literal`` (``literal`` mode): the engine run directly at
   the t level with the averaged coefficient nu/(nu-2) and a t-free boundary
   density; its mass is the gamma-mixture probability of the box or face. It
   is exact only where no averaging is involved and is kept for comparison.
 
 The normal rectangle probability behind every mass is exact in 1-D (erf)
-and 2-D (Owen's T function, Owen 1956); in 3-D it is one adaptive integral of
-the exact 2-D probability of the conditional pair over the first axis (Genz
-2004). Boxes with a finite bound are therefore limited to n <= 3. SciPy is
-imported inside the functions that need it: ``scipy.special`` (Owen's T, the
-normal CDF) for 2-D and 3-D boxes, QUADPACK (through ``oracle``) for the 3-D
-conditioning integral only, and a triangular solve for Monte Carlo. The 1-D
-masses use ``math.erfc``, so the literal mode and the mixture in 1-D load
-no SciPy.
+and 2-D (Owen's T function, Owen 1956); in 3-D it is one integral of the
+exact 2-D probability of the conditional pair over the first axis (Genz
+2004), by the same Gauss-Kronrod rule, over all mixing scales at once. Boxes
+with a finite bound are therefore limited to n <= 3. The only SciPy module
+used is ``scipy.special`` (Owen's T, the normal CDF), imported on first use
+by 2-D and 3-D boxes. The 1-D masses use ``math.erfc``, so the literal mode
+and the mixture in 1-D load no SciPy, and Monte Carlo draws take numpy
+alone.
 """
 
 from __future__ import annotations
@@ -72,8 +72,9 @@ _EPS = 2.0 ** -53
 #: is replaced by Gauss-Legendre panels.
 _RECURRENCE_RTOL = 1e-12
 
-#: Relative error the mixing integral accepts whatever its absolute tolerance,
-#: and the number of panels it may evaluate before giving up.
+#: Relative error the Gauss-Kronrod rule (mixing and 3-D conditioning
+#: integrals) accepts whatever its absolute tolerance, and the number of
+#: panels it may evaluate before giving up.
 _MIXTURE_RTOL = 1e-12
 _MAX_PANELS = 500
 
@@ -145,79 +146,99 @@ def _special():
     return ndtr, owens_t
 
 
-def _bvn_box(lo1: float, hi1: float, lo2: float, hi2: float, rho: float, root=1.0):
+def _bvn_box(lo1, hi1, lo2, hi2, rho: float, root=1.0):
     """P(lo root < Z < hi root) for a standard normal pair at correlation rho.
 
-    ``root`` is a float, or an array for one box per element. Every branch
-    (reflection, zero and infinite corners) depends on the signs of the
-    unscaled bounds alone, so it is taken once for all elements.
+    ``root`` is a float, or an array for one box per element. With an array
+    ``root`` a finite bound may be an array too, broadcasting with it (one
+    bound per element, as in the 3-D conditioning integral); an infinite
+    bound is always a float. Every branch (reflection, zero and infinite
+    corners) depends on the signs of the unscaled bounds alone, so float
+    bounds take it once for all elements and array bounds per element. An
+    array bound that is zero in an element divides by zero in the argument
+    of Owen's T (T(0, +-inf) = +-1/4 is still right), so the caller
+    silences numpy's divide and invalid warnings.
     """
     ndtr, owens_t = _special()
-    # A single box, as in the 3-D conditioning integrand, is faster in floats
-    # than in numpy scalars.
+    # A single box is faster in floats than in numpy scalars.
     one = isinstance(root, float)
     phi = _std_normal_cdf if one else ndtr
-
-    # An axis whose interval lies mostly above the mean is reflected, so the
-    # corner values are lower-tail probabilities instead of values near 1.
-    if lo1 + hi1 > 0.0:
-        lo1, hi1, rho = -hi1, -lo1, -rho
-    if lo2 + hi2 > 0.0:
-        lo2, hi2, rho = -hi2, -lo2, -rho
     r = math.sqrt((1.0 - rho) * (1.0 + rho))
 
-    def owen(h: float, num: float):
-        # T(h root, num / (h r)); at h = 0 the argument is +-inf and T(0, +-inf) = +-1/4.
-        if h == 0.0:
+    def reflect(lo, hi, rho):
+        # An axis whose interval lies mostly above the mean is reflected, so the
+        # corner values are lower-tail probabilities instead of values near 1.
+        flip = lo + hi > 0.0
+        if isinstance(lo, np.ndarray) and isinstance(hi, np.ndarray):
+            return np.where(flip, -hi, lo), np.where(flip, -lo, hi), np.where(flip, -rho, rho)
+        if isinstance(flip, np.ndarray):  # an infinite bound decides for every element
+            flip = flip.all()
+        return (-hi, -lo, -rho) if flip else (lo, hi, rho)
+
+    lo1, hi1, rho = reflect(lo1, hi1, rho)
+    lo2, hi2, rho = reflect(lo2, hi2, rho)
+
+    def owen(h, num):
+        # T(h root, num / (h r)); at h = 0 the argument is +-inf and T(0, +-inf) = +-1/4,
+        # which owens_t returns for array bounds
+        if not isinstance(h, np.ndarray) and h == 0.0:
             return math.copysign(0.25, num)
         val = owens_t(h * root, num / (h * r))
         return float(val) if one else val
 
-    def cdf(h: float, k: float):
+    def cdf(h, k):
         # P(Z1 <= h root, Z2 <= k root) (Owen 1956)
-        if h == -math.inf or k == -math.inf:
-            return 0.0
-        if h == math.inf:
-            return phi(k * root)
-        if k == math.inf:
-            return phi(h * root)
-        if h == 0.0 and k == 0.0:
-            return 0.25 + math.asin(rho) / (2.0 * math.pi)
-        val = 0.5 * (phi(h * root) + phi(k * root)) - owen(h, k - rho * h) - owen(k, h - rho * k)
-        return val - 0.5 if (h < 0.0) != (k < 0.0) else val
+        for x, y in ((h, k), (k, h)):
+            if isinstance(x, float) and math.isinf(x):
+                return phi(y * root) if x > 0.0 and not np.all(y == -math.inf) else 0.0
+        val = (0.5 * (phi(h * root) + phi(k * root)) - owen(h, k - rho * h) - owen(k, h - rho * k)
+               - 0.5 * ((h < 0.0) != (k < 0.0)))
+        # the corner h = k = 0, where both arguments of T are 0/0
+        zero = (h == 0.0) & (k == 0.0)
+        return val if zero is False else np.where(zero, 0.25 + np.arcsin(rho) / (2 * math.pi), val)
 
     p = (cdf(hi1, hi2) - cdf(lo1, hi2)) - (cdf(hi1, lo2) - cdf(lo1, lo2))
-    return max(p, 0.0) if one else np.maximum(p, 0.0)
+    return max(float(p), 0.0) if one else np.maximum(p, 0.0)
 
 
-def _tvn_box(a: list[float], b: list[float], mean: list[float], cov: list[list[float]],
-             tol: float, root: float = 1.0) -> float:
-    """Trivariate normal box probability of N(mean, cov / root^2) by conditioning
-    on axis 0 (Genz 2004).
+def _tvn_box(a: np.ndarray, b: np.ndarray, mean: np.ndarray, cov: np.ndarray, tol: float):
+    """Trivariate normal box probability of N(mean, scale * cov) as a function
+    of ``scale``, a float or an array, by conditioning on axis 0 (Genz 2004).
 
-    Given z = (x_0 - m_0)/s_0 the other two axes are a bivariate normal whose
-    box probability is exact; one adaptive integral over z against the
-    standard normal density, on infinite ranges where a bound is infinite,
-    gives the rest. Scaling the covariance scales every standardized bound by
-    ``root`` and leaves the correlations alone.
+    Given x_0 = m_0 + s_0 z the other two axes are a bivariate normal whose
+    box probability is exact, and an integral over z against the standard
+    normal density gives the rest. With z = root w, root = scale^(-1/2), the
+    scales share the w-range: :func:`_gauss_kronrod` integrates all of them
+    at once, each to absolute error ``tol``, and a level's nodes and scales
+    are one :func:`_bvn_box` call. The range ends 40 standard deviations out
+    for the widest scale, where the density underflows. The panels start at
+    the point nearest the mean and double in width from one standard
+    deviation of the narrowest scale, so that every scale's mass spans a
+    panel or more and none falls between the nodes.
     """
-    from .oracle import _run_quad
+    s0 = math.sqrt(cov[0, 0])
+    w_lo, w_hi = (a[0] - mean[0]) / s0, (b[0] - mean[0]) / s0
+    c = cov[0, 1:] / s0
+    s = np.sqrt(np.diag(cov)[1:] - c * c)  # the conditional sds of axes 1 and 2
+    rho = (cov[1, 2] - c[0] * c[1]) / (s[0] * s[1])
+    # lower and upper bounds of axes 1 and 2 at w = 0, with their slopes in w
+    bounds = [((x - mean[i]) / s[i - 1], c[i - 1] / s[i - 1]) for i in (1, 2) for x in (a[i], b[i])]
 
-    s0 = math.sqrt(cov[0][0])
-    z_lo, z_hi = (a[0] - mean[0]) / s0 * root, (b[0] - mean[0]) / s0 * root
-    c1, c2 = cov[0][1] / s0, cov[0][2] / s0
-    s1 = math.sqrt(cov[1][1] - c1 * c1)
-    s2 = math.sqrt(cov[2][2] - c2 * c2)
-    rho = (cov[1][2] - c1 * c2) / (s1 * s2)
-    lo1, hi1 = (a[1] - mean[1]) / s1 * root, (b[1] - mean[1]) / s1 * root
-    lo2, hi2 = (a[2] - mean[2]) / s2 * root, (b[2] - mean[2]) / s2 * root
-    g1, g2 = c1 / s1, c2 / s2
+    def box(scale):
+        col = np.asarray(scale ** -0.5)[..., None, None]  # the roots, one per leading index
+        reach = 40.0 / col.min()
+        lo, hi = np.clip((w_lo, w_hi), -reach, reach)
+        steps = 2.0 ** np.arange(math.ceil(math.log2(2.0 * reach * col.max())) + 1) / col.max()
+        centre = min(max(0.0, lo), hi)
+        edges = np.unique(np.clip(np.r_[lo, hi, centre - steps, centre + steps], lo, hi))
 
-    def conditional(z: float) -> float:
-        return (math.exp(-0.5 * z * z) / _SQRT_2PI
-                * _bvn_box(lo1 - g1 * z, hi1 - g1 * z, lo2 - g2 * z, hi2 - g2 * z, rho))
+        def conditional(w: np.ndarray) -> np.ndarray:
+            with np.errstate(divide="ignore", invalid="ignore"):  # see _bvn_box
+                pair = _bvn_box(*(v if math.isinf(v) else v - g * w for v, g in bounds), rho, col)
+            return col / _SQRT_2PI * np.exp(-0.5 * (col * w) ** 2) * pair
 
-    return _run_quad(conditional, z_lo, z_hi, tol).value
+        return _gauss_kronrod(conditional, tuple(edges), tol).value
+    return box
 
 
 def _rect_prob(a: np.ndarray, b: np.ndarray, mean: np.ndarray, cov: np.ndarray, tol: float):
@@ -225,12 +246,14 @@ def _rect_prob(a: np.ndarray, b: np.ndarray, mean: np.ndarray, cov: np.ndarray, 
     ``scale``, a float or an array for one probability per element.
 
     Exact in 1-D (erf) and 2-D (Owen's T); in 3-D one conditioning integral
-    of the exact 2-D probability per element, to absolute error ``tol``. The
-    standardized bounds and the correlations do not depend on the scale and
-    are formed once.
+    of the exact 2-D probability over all the elements at once, to absolute
+    error ``tol`` each (:func:`_tvn_box`). The standardized bounds and the
+    correlations do not depend on the scale and are formed once.
     """
     if np.all(np.isneginf(a)) and np.all(np.isposinf(b)):
         return lambda scale: 1.0
+    if mean.size == 3:
+        return _tvn_box(a, b, mean, cov, tol)
     sd = np.sqrt(np.diag(cov))
     lo, hi = ((a - mean) / sd).tolist(), ((b - mean) / sd).tolist()
     if mean.size == 1:
@@ -240,17 +263,8 @@ def _rect_prob(a: np.ndarray, b: np.ndarray, mean: np.ndarray, cov: np.ndarray, 
             lower = 0.0 if math.isinf(lo[0]) else _std_normal_cdf(lo[0] * root)
             return np.maximum(upper - lower, 0.0)
         return interval
-    if mean.size == 2:
-        rho = float(cov[0, 1] / (sd[0] * sd[1]))
-        return lambda scale: _bvn_box(lo[0], hi[0], lo[1], hi[1], rho, scale ** -0.5)
-    box = partial(_tvn_box, a.tolist(), b.tolist(), mean.tolist(), cov.tolist(), tol)
-
-    def trivariate(scale):
-        root = scale ** -0.5
-        if isinstance(root, np.ndarray):
-            return np.array([box(r) for r in root.tolist()])
-        return box(root)
-    return trivariate
+    rho = float(cov[0, 1] / (sd[0] * sd[1]))
+    return lambda scale: _bvn_box(lo[0], hi[0], lo[1], hi[1], rho, scale ** -0.5)
 
 
 class _Recursion:
@@ -354,12 +368,16 @@ def _gauss_kronrod(f, edges: tuple[float, ...], tol: float) -> QuadResult:
     panels between ``edges``, to absolute error ``tol`` or relative 1e-12.
 
     Each level evaluates the 15 nodes of every open panel in one call of
-    ``f``. A panel's error is |K15 - G7| plus 50 ulps of the integral of |f|.
-    The level ends the rule when the errors add up to the target; otherwise
-    it closes each panel whose error fits an equal share of what the closed
-    panels left, or whose difference is down to rounding, and bisects the
-    rest. ``NonConvergenceError`` past ``_MAX_PANELS`` panels, or when the
-    closed panels' errors exceed the target.
+    ``f`` on the (panels, 15) array of nodes. ``f`` returns their values in
+    that shape, or with leading axes for one integral per leading index (a
+    column, with ``value`` and ``est_abs_error`` arrays of that shape); the
+    columns share the panels and each has its own error budget. A panel's
+    error is |K15 - G7| plus 50 ulps of the integral of |f|. A column is done
+    when its errors add up to its target; otherwise the level closes each
+    panel whose error fits an equal share of what the column's closed panels
+    left, or whose difference is down to rounding, and bisects a panel that
+    some column leaves open. ``NonConvergenceError`` past ``_MAX_PANELS``
+    panels, or when the closed panels' errors exceed the target.
     """
     lo, hi = np.array(edges[:-1], dtype=float), np.array(edges[1:], dtype=float)
     value = error = 0.0
@@ -368,26 +386,27 @@ def _gauss_kronrod(f, edges: tuple[float, ...], tol: float) -> QuadResult:
         panels += lo.size
         if panels > _MAX_PANELS:
             raise NonConvergenceError(
-                f"mixing integral did not reach tolerance {tol:g} within {_MAX_PANELS} panels",
+                f"integral did not reach tolerance {tol:g} within {_MAX_PANELS} panels",
                 value=value, est_error=math.inf, iterations=15 * panels)
         half = 0.5 * (hi - lo)
         mid = lo + half
-        fx = f((mid[:, None] + half[:, None] * _KRONROD_X).ravel()).reshape(lo.size, 15)
-        kronrod = fx @ _KRONROD_W * half
-        gap = np.abs(kronrod - fx[:, 1::2] @ _GAUSS_W * half)
-        rounding = 50.0 * _EPS * (np.abs(fx) @ _KRONROD_W) * half
+        fx = f(mid[:, None] + half[:, None] * _KRONROD_X)
+        # one row per panel, one column per integral
+        kronrod = (fx @ _KRONROD_W * half).T
+        gap = np.abs(kronrod - (fx[..., 1::2] @ _GAUSS_W * half).T)
+        rounding = 50.0 * _EPS * ((np.abs(fx) @ _KRONROD_W) * half).T
         err = gap + rounding
-        budget = max(tol, _MIXTURE_RTOL * abs(value + kronrod.sum())) - error
-        split = ((err > budget / lo.size) & (gap > rounding) if err.sum() > budget
-                 else np.zeros(lo.size, dtype=bool))
-        value += kronrod[~split].sum()
-        error += err[~split].sum()
+        budget = np.maximum(tol, _MIXTURE_RTOL * abs(value + kronrod.sum(0))) - error
+        split = (err > budget / lo.size) & (gap > rounding) & (err.sum(0) > budget)
+        split = split.any(1) if split.ndim > 1 else split
+        value = value + kronrod[~split].sum(0)
+        error = error + err[~split].sum(0)
         lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
-    if error > max(tol, _MIXTURE_RTOL * abs(value)):
+    if np.any(error > np.maximum(tol, _MIXTURE_RTOL * abs(value))):
         raise NonConvergenceError(
-            f"mixing integral did not reach tolerance {tol:g} (achieved {error:.3e})",
+            f"integral did not reach tolerance {tol:g} (achieved {np.max(error):.3e})",
             value=value, est_error=error, iterations=15 * panels)
-    return QuadResult(float(value), float(error), 15 * panels)
+    return QuadResult(value, error, 15 * panels)
 
 
 def _t_mixture(k: tuple[int, ...], a: np.ndarray, b: np.ndarray, mean: np.ndarray,
@@ -406,8 +425,8 @@ def _t_mixture(k: tuple[int, ...], a: np.ndarray, b: np.ndarray, mean: np.ndarra
     already, and m = 1 leaves the bulk of the mixing law on more of (0, 1).
     One recursion, its faces built once, runs per refinement level of
     :func:`_gauss_kronrod` over all new nodes at covariance scale 1/t. A
-    mixing law narrower than the rule resolves gives the normal moment at
-    t = 1 instead, with no mixing node (``evaluations`` 0).
+    mixing law too narrow for the rule's error estimate gives the normal
+    moment at t = 1 instead, with no mixing node (``evaluations`` 0).
     """
     alpha = 0.5 * nu
     # log of alpha^alpha e^-alpha / Gamma(alpha), which lgamma would leave to
@@ -438,10 +457,12 @@ def _t_mixture(k: tuple[int, ...], a: np.ndarray, b: np.ndarray, mean: np.ndarra
     # For large nu the mixing law is a peak at t = 1 of width sqrt(2/nu) that
     # the starting nodes could miss: edges 8 widths either side expose it.
     reach = 8.0 * math.sqrt(2.0 / nu) / m
-    if reach < 1e-8:
-        # Narrower than the rule resolves, the mixing law is all but a point
-        # mass at t = 1: the normal moment differs by O(1/nu), below double
-        # precision here. No mixing node is evaluated.
+    if reach < 1e-5:
+        # A peak this narrow is near the resolution of the rule: from a reach
+        # of about 3e-6 on, a sweep of nu finds |K15 - G7| short of the error.
+        # The normal moment at t = 1 differs by g''(1)/nu + O(1/nu^2), g the
+        # normal moment at scale 1/t, here of order 1e-12. No mixing node is
+        # evaluated.
         return QuadResult(float(problem.moment(k)), 0.0, 0)
     edges = ((0.0, 0.25, 0.5, 0.75, 1.0) if reach > 0.5 else
              (0.0, 0.25, 1.0 / (1.0 + math.exp(reach)), 0.5, 1.0 / (1.0 + math.exp(-reach)),
@@ -630,12 +651,11 @@ def rectangle_probability(r: Rectangle, mean, precision_scaled, *, tol: float = 
     if method != "mc" and mean.size > 3:
         raise DomainError("rectangle_probability: quadrature supports n <= 3; pass method='mc'")
     if method == "mc":
-        from scipy.linalg import solve_triangular
-
+        # X = mean + L^(-T) z for the Cholesky factor L of the precision
         rng = np.random.default_rng(seed)
         chol = np.linalg.cholesky(prec)
         z = rng.standard_normal((n_samples, mean.size))
-        x = mean + solve_triangular(chol, z.T, lower=True, trans="T").T
+        x = mean + np.linalg.solve(chol.T, z.T).T
         inside = np.all((x >= r.lower) & (x <= r.upper), axis=1)
         return float(inside.mean())
     cov = _spd_inverse(prec)
@@ -679,11 +699,13 @@ def trunc_t_moment(k, r: Rectangle, p: TParamsND, *, tol: float = 1e-9) -> Momen
     exist for k < nu (total order) or, on a box with every bound finite, for
     every k; orders k >= nu on a bounded box raise ``NonConvergenceError``
     where the recursion's rounding, which grows like t^(-k/2) as t -> 0,
-    swamps the mixing weight. Above about nu = 3e17 (1.3e18 on a bounded
-    box) the mixing law is narrower than the rule resolves; there the
-    normal moment of N(mu, Sigma^(-1)), :func:`trunc_normal_moment`, answers
-    (formula ``trunc-normal-limit``, no diagnostics), as it equals the t
-    moment up to O(1/nu), below double precision.
+    swamps the mixing weight. In 3-D each box mass is a conditioning
+    integral to absolute error max(tol/100, 1e-11) (see :func:`_tvn_box`),
+    which ``quad_abs_error`` does not include. Above about nu = 3.2e11
+    (1.3e12 on a bounded box) the mixing law is too narrow for the rule's
+    error estimate; there the normal moment of N(mu, Sigma^(-1)),
+    :func:`trunc_normal_moment`, answers (formula ``trunc-normal-limit``, no
+    diagnostics), as it equals the t moment up to O(1/nu), of order 1e-12.
     """
     k = _check_box("trunc_t_moment", k, r, p.dim)
     formula = "trunc-recurrence" if p.dim == 1 else "trunc-mixture"
@@ -697,8 +719,8 @@ def trunc_t_moment(k, r: Rectangle, p: TParamsND, *, tol: float = 1e-9) -> Momen
     quad_res = _t_mixture(k.k, r.lower, r.upper, p.mu, p.precision_inverse(), p.nu, tol)
     if not quad_res.evaluations:
         return MomentResult(quad_res.value, formula="trunc-normal-limit", mode="corrected")
-    return MomentResult(quad_res.value, formula="trunc-mixture", mode="corrected",
-                        diagnostics={"quad_abs_error": quad_res.est_abs_error,
+    return MomentResult(float(quad_res.value), formula="trunc-mixture", mode="corrected",
+                        diagnostics={"quad_abs_error": float(quad_res.est_abs_error),
                                      "quad_evaluations": quad_res.evaluations})
 
 

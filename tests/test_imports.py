@@ -2,14 +2,18 @@
 
 The closed-form paths must not pay for SciPy: ``import tmoments``, the
 ``one-d`` and ``multi`` subcommands and 1-D ``truncated`` requests load no
-``scipy`` module, and 2-D ``truncated`` requests load no QUADPACK. The
-checks run in fresh interpreters and compare module sets, so they do not
-depend on time.
+``scipy`` module, and 2-D and 3-D ``truncated`` requests load
+``scipy.special`` alone, without QUADPACK, ``scipy.linalg`` or the oracle
+module. The checks run in fresh interpreters and compare module sets, so
+they do not depend on time. A static scan keeps the library from importing
+its own oracle.
 """
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,12 +77,56 @@ class TestImportBudget:
         assert "scipy.integrate" not in loaded and "tmoments.oracle" not in loaded
 
     def test_truncated_subcommand_loads_scipy(self):
-        # The probe must see SciPy where it is needed, or the checks above
-        # prove nothing: a 3-D box conditions on one axis with QUADPACK.
+        # a 3-D box conditions on one axis with the same Gauss-Kronrod rule:
+        # scipy.special, and no QUADPACK, scipy.linalg or oracle module
         argv = ["truncated", "--k", "1,0,0", "--lower", "0,0,0", "--upper", "1,1,1",
                 "--nu", "5"]
         loaded = heavy_modules_after(_RUN_CLI.format(argv=argv))
-        assert "scipy.integrate" in loaded and "tmoments.oracle" in loaded
+        assert "scipy.special" in loaded
+        for name in ("scipy.integrate", "scipy.linalg", "tmoments.oracle"):
+            assert name not in loaded, name
+
+    def test_verify_loads_the_oracle(self):
+        # The probe must see QUADPACK and the oracle where they are needed, or
+        # the checks above prove nothing.
+        argv = ["verify", "--k", "2", "--mu", "0.5", "--nu", "7"]
+        loaded = heavy_modules_after(_RUN_CLI.format(argv=argv))
+        for name in ("scipy.integrate", "scipy.linalg", "tmoments.oracle"):
+            assert name in loaded, name
+
+
+#: Modules only the oracles and the CLI that runs them may import.
+_ORACLE_ONLY = ("tmoments.oracle", "scipy.integrate", "scipy.linalg")
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The absolute names of the modules a tmoments source file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ("tmoments." + (node.module or "")).rstrip(".") if node.level else node.module
+            names.add(base)
+            # "from scipy import integrate" and "from . import oracle" name modules
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+class TestLibraryLeavesTheOracleAlone:
+    def test_no_library_module_imports_oracle_code(self):
+        src = Path(tmoments.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            if path.stem in ("cli", "oracle"):
+                continue
+            bad = {name for name in _imported_modules(path)
+                   if any(name == m or name.startswith(m + ".") for m in _ORACLE_ONLY)}
+            assert not bad, (path.name, sorted(bad))
+
+    def test_the_scan_sees_the_cli_import(self):
+        # a control: the scan finds the imports that cli is allowed to make
+        names = _imported_modules(Path(tmoments.__file__).parent / "cli.py")
+        assert "tmoments.oracle" in names
 
 
 class TestLazyNamespace:

@@ -15,8 +15,9 @@ from tmoments.normal_moments import NormalParams, normal_raw_moment
 from tmoments.oracle import mc_moment_nd, normal_pdf, quad_moment_1d, tensor_quad
 from tmoments.t1d import TParams1D, t_pdf
 from tmoments.tnd import TParamsND, raw_moment_nd, raw_moment_nd_literal, t_pdf_nd
-from tmoments.truncated import (Rectangle, _t_mixture, rectangle_probability,
-                                trunc_normal_moment, trunc_t_moment, trunc_t_moment_literal)
+from tmoments.truncated import (Rectangle, _bvn_box, _rect_prob, _t_mixture,
+                                rectangle_probability, trunc_normal_moment, trunc_t_moment,
+                                trunc_t_moment_literal)
 
 INF = math.inf
 
@@ -65,6 +66,36 @@ def _normal_box_oracle(k, lower, upper, mean, cov, tol=1e-13):
         return val
 
     return tensor_quad(f, lo, hi, tol=tol).value
+
+
+def _tvn_box_quadpack(a, b, mean, cov, root):
+    """The scalar conditioning integral the vectorized one replaced, as its
+    oracle: the box probability of N(mean, cov / root^2) as one QUADPACK
+    integral over z, the standardized axis 0, of the standard normal density
+    times the exact 2-D probability of the conditional pair (Genz 2004). The
+    range is cut 40 sd out and split at z = 0, so that QUADPACK cannot step
+    over the peak of a large ``root``.
+    """
+    # floats, so that an axis open both ways sums -inf + inf without a numpy warning
+    a, b, mean, cov, root = (np.asarray(v, dtype=float).tolist() for v in (a, b, mean, cov, root))
+    s0 = math.sqrt(cov[0][0])
+    z_lo, z_hi = (a[0] - mean[0]) / s0 * root, (b[0] - mean[0]) / s0 * root
+    c1, c2 = cov[0][1] / s0, cov[0][2] / s0
+    s1, s2 = math.sqrt(cov[1][1] - c1 * c1), math.sqrt(cov[2][2] - c2 * c2)
+    rho = (cov[1][2] - c1 * c2) / (s1 * s2)
+    lo1, hi1 = (a[1] - mean[1]) / s1 * root, (b[1] - mean[1]) / s1 * root
+    lo2, hi2 = (a[2] - mean[2]) / s2 * root, (b[2] - mean[2]) / s2 * root
+    g1, g2 = c1 / s1, c2 / s2
+
+    def conditional(z):
+        return (math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+                * _bvn_box(lo1 - g1 * z, hi1 - g1 * z, lo2 - g2 * z, hi2 - g2 * z, rho))
+
+    lo, hi = max(z_lo, -40.0), min(z_hi, 40.0)
+    if lo >= hi:
+        return 0.0
+    return quad(conditional, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=500,
+                points=[0.0] if lo < 0.0 < hi else None)[0]
 
 
 def _cov(sd, corr):
@@ -170,6 +201,25 @@ class TestRectangleProbability:
                                     tol=1e-13)
         ref = _normal_box_oracle((0, 0, 0), lower, upper, mean, cov)
         assert abs(got - ref) <= 1e-12
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([0.2, -0.1, 0.3], [1.5, 1.4, 2.0]),        # finite
+        ([-INF, -1.0, -0.5], [1.0, 0.8, 1.6]),      # one side of axis 0 infinite
+        ([-INF, -0.3, -0.2], [INF, 0.5, 1.0]),      # both sides of axis 0 infinite
+        ([-0.6, -INF, -INF], [INF, 0.8, 1.1]),
+        ([2.6, -INF, 3.3], [3.8, 1.0, 4.5]),        # 8 to 12 sd out on two axes
+    ])
+    @pytest.mark.parametrize("rho", [0.3, 0.99, -0.99])
+    def test_trivariate_scales_against_quadpack(self, lower, upper, rho):
+        # the mixture asks for the 3-D mass at covariance scale * cov for a
+        # whole array of scales in one conditioning integral
+        mean = np.array([0.2, -0.1, 0.3])
+        r12 = math.copysign(0.1, rho)
+        cov = _cov([0.3, 0.8, 0.35], [[1.0, rho, 0.2], [rho, 1.0, r12], [0.2, r12, 1.0]])
+        scales = np.logspace(-8.0, 3.0, 12)
+        got = _rect_prob(np.array(lower), np.array(upper), mean, cov, 1e-13)(scales)
+        ref = [_tvn_box_quadpack(lower, upper, mean, cov, s ** -0.5) for s in scales]
+        assert np.all(np.abs(got - ref) <= 1e-12), np.abs(got - ref)
 
     def test_high_dimension_needs_mc(self):
         r = Rectangle([-1.0] * 4, [1.0] * 4)
@@ -378,6 +428,17 @@ class TestTruncT:
             ref = _t_box_oracle(k, r, p, tol=1e-10, max_refine=2)
             assert abs(got.value - ref) <= 1e-9 * max(1.0, abs(ref)), k
 
+    def test_trivariate_open_box_against_tensor_quadrature(self):
+        # axis 0, the axis the 3-D mass conditions on, is open below
+        p = TParamsND([0.2, -0.1, 0.3], [[1.2, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.9]],
+                      8.0)
+        r = Rectangle([-INF, -0.5, -1.2], [1.5, 1.0, 0.8])
+        for k in [(0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1)]:
+            got = trunc_t_moment(k, r, p)
+            ref = _t_box_oracle(k, r, p, tol=1e-10, max_refine=2)
+            assert abs(got.value - ref) <= got.diagnostics["quad_abs_error"] + 1e-10, k
+            assert abs(got.value - ref) <= 1e-9 * max(1.0, abs(ref)), k
+
     def test_undefined_order(self):
         p = TParamsND([0.0], [[1.0]], 3.0)
         res = trunc_t_moment((3,), Rectangle([0.0], [INF]), p)
@@ -537,12 +598,44 @@ class TestMixtureRule:
         for nu in (1e10, 1e12):
             got = trunc_t_moment((1, 1), r, TParamsND([0.4, -0.3], sigma, nu))
             assert abs(got.value - normal) <= 1e-9, nu
-        # at 1e15 the rule still resolves the peak, and agrees with the normal
-        # moment within its reported error
+        # at 1e15 the peak is too narrow for the rule's error estimate (see
+        # test_error_bound_up_to_the_normal_limit), and the normal moment answers
         got = trunc_t_moment((1, 1), r, TParamsND([0.4, -0.3], sigma, 1e15))
-        assert got.formula == "trunc-mixture"
-        assert abs(got.value - normal) <= got.diagnostics["quad_abs_error"]
-        assert got.diagnostics["quad_abs_error"] < 2e-10
+        assert got.formula == "trunc-normal-limit"
+        assert got.value == normal
+
+    def test_error_bound_up_to_the_normal_limit(self):
+        # nu from 1e7 to 1e18: every mixture result lies within its reported
+        # error of the t moment, which is g(1) + g''(1)/nu + O(nu^-2) for the
+        # normal moment g(t) at precision t Sigma (the gamma law has variance
+        # 2/nu), and above the switch the normal moment answers. With the
+        # switch at 3e17 the error estimate fell short of the error from 3e12
+        # (half-plane) and 3e13 (bounded box) on.
+        mu, sigma = [0.4, -0.3], np.array([[1.5, 0.4], [0.4, 1.1]])
+        boxes = {"bounded": Rectangle([-1.0, -1.5], [2.0, 1.0]),
+                 "half-plane": Rectangle([-1.0, -INF], [2.0, 1.0]),
+                 "quadrant": Rectangle([0.0, 0.0], [INF, INF]),
+                 "far": Rectangle([1.5, -3.0], [4.0, -1.0])}
+        for name, r in boxes.items():
+            for k in [(0, 0), (1, 0), (1, 1), (2, 1), (0, 2)]:
+                g0 = trunc_normal_moment(k, r, mu, sigma)
+                h = 1e-3
+                g2 = (trunc_normal_moment(k, r, mu, (1.0 + h) * sigma) - 2.0 * g0
+                      + trunc_normal_moment(k, r, mu, (1.0 - h) * sigma)) / h ** 2
+                formulas = []
+                for nu in 10.0 ** np.arange(7.0, 18.01, 0.5):
+                    got = trunc_t_moment(k, r, TParamsND(mu, sigma, nu))
+                    formulas.append(got.formula)
+                    where = (name, k, nu)
+                    if got.formula == "trunc-mixture":
+                        bound = got.diagnostics["quad_abs_error"]
+                        assert abs(got.value - (g0 + g2 / nu)) <= bound + 1e-13, where
+                    else:
+                        assert got.formula == "trunc-normal-limit", where
+                        assert got.value == g0, where
+                # the switch: 3.2e11 on an open box, 1.3e12 on a bounded one
+                bounded = np.isfinite(r.lower).all() and np.isfinite(r.upper).all()
+                assert formulas.count("trunc-mixture") == (11 if bounded else 10), name
 
     @pytest.mark.parametrize("nu", [1e20, 1e300])
     def test_normal_limit(self, nu):
