@@ -8,9 +8,11 @@ quadrature and Monte Carlo oracles for verification.
 The public names below are lazy attributes (PEP 562): ``import tmoments``
 loads none of the submodules, and the first access to a name, for example
 ``tmoments.raw_moment``, imports the module that defines it and caches the
-name in this namespace. The closed forms (``specfun``, ``normal_moments``,
-``t1d``, ``tnd``) need only numpy; ``truncated`` and ``oracle`` load SciPy,
-so only their names, or the submodules themselves, pay for it.
+name in this namespace. The 1-D closed forms (``specfun``,
+``normal_moments``, ``t1d``) need no numpy: ``t1d`` imports it only when
+``t_pdf`` runs or a 1-D truncated moment falls back to its Gauss-Legendre
+panels. ``tnd`` needs numpy; ``truncated`` and ``oracle`` load SciPy, so
+only their names, or the submodules themselves, pay for it.
 """
 
 from importlib import import_module as _import_module

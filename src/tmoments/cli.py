@@ -12,10 +12,12 @@ estimation. The oracle seed is taken from --seed, else the TMOMENT_SEED
 environment variable, else 12345.
 
 Each subcommand imports only the modules it needs, when its request
-arrives: one-d, multi and 1-D truncated requests run on numpy alone; 2-D and
-3-D truncated requests load ``scipy.special`` (Owen's T, through the
-truncated module) and nothing else from SciPy; oracle and verify load the
-oracle module, and with it QUADPACK (``scipy.integrate``) and
+arrives: one-d requests and 1-D corrected truncated requests given by
+scalars (no --sigma-mat or --sigma-file) run on the pure-Python closed forms
+in ``t1d`` and load no numpy; multi and the other truncated requests load
+numpy, and 2-D and 3-D truncated requests also ``scipy.special`` (Owen's T,
+through the truncated module) and nothing else from SciPy; oracle and verify
+load the oracle module, and with it QUADPACK (``scipy.integrate``) and
 ``scipy.linalg``.
 """
 
@@ -29,13 +31,13 @@ import sys
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import t1d
 from .errors import DomainError, EstimationError, NonConvergenceError, UndefinedMomentError
 from .t1d import DEFAULT_SEED, KINDS, MomentResult, TParams1D
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .tnd import TParamsND
     from .truncated import Rectangle
 
@@ -52,16 +54,27 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _scalar(obj):
+    """``obj``, or the Python scalar a numpy scalar holds.
+
+    numpy is looked up, not imported: if no module has imported it, no numpy
+    object can exist, and a numpy-free request does not load it here.
+    """
+    np = sys.modules.get("numpy")
+    return obj.item() if np is not None and isinstance(obj, np.generic) else obj
+
+
 def _to_json(obj) -> str:
+    obj = _scalar(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return _format_float(float(obj))
     if isinstance(obj, dict):
         items = ", ".join(f"{_to_json(str(k))}: {_to_json(v)}" for k, v in obj.items())
@@ -76,9 +89,10 @@ def _emit(response: dict, fmt: str) -> None:
         print(_to_json(response))
         return
     for key, val in response.items():
+        val = _scalar(val)
         if isinstance(val, dict):
             print(f"{key} {_to_json(val)}")
-        elif isinstance(val, (float, np.floating)):
+        elif isinstance(val, float):
             print(f"{key} {_format_float(float(val))}")
         else:
             print(f"{key} {val}")
@@ -136,6 +150,8 @@ def _parse_orders(text: str) -> list[int]:
 
 
 def _parse_matrix(args, dim: int) -> np.ndarray:
+    import numpy as np
+
     source = "command line"
     text = args.sigma_mat
     if getattr(args, "sigma_file", None):
@@ -216,13 +232,19 @@ def _params_nd(args, dim: int) -> TParamsND:
     if sigma is not None:
         if dim != 1 or args.sigma_mat is not None or getattr(args, "sigma_file", None):
             raise _UsageError("--sigma and --scale apply only to one-dimensional requests")
-        mat = np.array([[sigma]])
+        mat = [[sigma]]
     else:
         mat = _parse_matrix(args, dim)
     try:
-        return TParamsND(np.asarray(mu), mat, args.nu)
+        return TParamsND(mu, mat, args.nu)
     except DomainError as e:
         raise _UsageError(str(e)) from None
+
+
+def _bounds_1d(args) -> tuple[float, float]:
+    """The 1-D interval of --lower and --upper; a side not given is infinite."""
+    return (_parse_scalar(args.lower, "--lower") if args.lower is not None else -math.inf,
+            _parse_scalar(args.upper, "--upper") if args.upper is not None else math.inf)
 
 
 def _parse_rectangle(args, dim: int) -> Rectangle | None:
@@ -235,7 +257,7 @@ def _parse_rectangle(args, dim: int) -> Rectangle | None:
     if len(lower) != dim or len(upper) != dim:
         raise _UsageError(f"--lower/--upper must each have {dim} entries")
     try:
-        return Rectangle(np.asarray(lower), np.asarray(upper))
+        return Rectangle(lower, upper)
     except DomainError as e:
         raise _UsageError(str(e)) from None
 
@@ -253,6 +275,8 @@ def _one_d_moment(kind: str, k: int, p: TParams1D, via_central: bool = False) ->
 
 
 def _multi_moment(orders, p: TParamsND, mode: str, kind: str = "raw") -> MomentResult:
+    import numpy as np
+
     from . import tnd
 
     if kind == "abs":
@@ -290,8 +314,25 @@ def _cmd_multi(args) -> tuple[dict, int]:
     return _answer(_multi_moment(orders, p, args.mode, args.kind))
 
 
+def _truncated_1d(k: int, args) -> MomentResult:
+    """A 1-D corrected truncated moment from scalar options, without numpy.
+
+    It makes the checks of the n-D route, whose ``TParamsND`` and
+    ``Rectangle`` would load numpy, on the scalars: those of ``TParams1D``
+    and lower < upper, which also rejects a NaN bound.
+    """
+    p = _params_1d(args)
+    lower, upper = _bounds_1d(args)
+    if not lower < upper:
+        raise _UsageError(f"--lower must be below --upper, got {lower!r} and {upper!r}")
+    return t1d._trunc_t_moment(k, lower, upper, p.mu, p.sigma, p.nu)
+
+
 def _cmd_truncated(args) -> tuple[dict, int]:
     orders = _parse_orders(args.k)
+    if (len(orders) == 1 and args.mode == "corrected" and args.sigma_mat is None
+            and not args.sigma_file):
+        return _answer(_truncated_1d(orders[0], args))
     p = _params_nd(args, len(orders))
     rect = _parse_rectangle(args, p.dim)
     return _answer(_truncated_moment(orders, rect, p, args.mode, args.tol))
@@ -338,9 +379,7 @@ def _oracle_estimate(req: _Request, seed) -> tuple[float, dict, str]:
         raise _UsageError("the quadrature oracle supports one-dimensional requests only")
     if not req.multivariate and args.method != "mc":
         p1 = req.params_1d
-        bounds = (_parse_scalar(args.lower, "--lower") if args.lower is not None else -math.inf,
-                  _parse_scalar(args.upper, "--upper") if args.upper is not None else math.inf)
-        res = quad_moment_1d(args.kind, req.orders[0], p1, bounds=bounds, tol=args.tol)
+        res = quad_moment_1d(args.kind, req.orders[0], p1, bounds=_bounds_1d(args), tol=args.tol)
         diag = {"method": "quad", "est_abs_error": res.est_abs_error,
                 "evaluations": res.evaluations}
         return res.value, diag, "oracle-quad"
@@ -350,7 +389,7 @@ def _oracle_estimate(req: _Request, seed) -> tuple[float, dict, str]:
         p = req.params_nd
     else:
         p1 = req.params_1d
-        p = TParamsND(np.array([p1.mu]), np.array([[p1.sigma]]), p1.nu)
+        p = TParamsND([p1.mu], [[p1.sigma]], p1.nu)
     est = mc_moment_nd(req.orders, p, rect=req.rect, n_samples=args.samples, seed=seed)
     diag = {"method": "mc", "std_error": est.std_error,
             "n_samples": est.n_samples, "seed": est.seed}

@@ -8,9 +8,9 @@ moments (including negative real powers), which integrate over the mixing
 variable lambda. The t modules build their closed forms from these two.
 
 Integer orders of both scales are products of growing factors, formed by
-``specfun._product`` without leaving the double range on the way;
-half-integer gamma orders start that product at the accurate ratio
-Gamma(x + 1/2) / Gamma(x), and other orders take the log-gamma value.
+``specfun._product`` without leaving the double range on the way; other
+gamma orders start that product at the accurate ratio Gamma(x + f) / Gamma(x)
+of their fractional part f, and other normal orders take the log-gamma value.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, UndefinedMomentError
-from .specfun import _gamma_half_ratio, _product, hyp1f1
+from .specfun import _gamma_shift_ratio, _product, hyp1f1
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -116,39 +116,34 @@ def normal_raw_moment(p: NormalParams, k) -> float:
     return _finite(k * p.mean * _normal_scale(k - 1, p.variance) * h.value)
 
 
-def _log_gamma_moment(alpha: float, beta: float, k: float) -> float:
-    """log E(X^k) = -k log beta + log Gamma(k + alpha) - log Gamma(alpha)."""
-    return -k * math.log(beta) + math.lgamma(k + alpha) - math.lgamma(alpha)
-
-
 def _gamma_moment(alpha: float, beta: float, k: float) -> float:
     """:func:`gamma_moment` for k > -alpha, without building its parameters.
 
-    Half-integer orders k = +-(j + 1/2) start the integer product at the
-    order +-1/2, Gamma(alpha + 1/2) / (Gamma(alpha) sqrt(beta)) or
-    sqrt(beta) Gamma(alpha - 1/2) / Gamma(alpha), from the accurate ratio
-    ``_gamma_half_ratio`` instead of a log-gamma difference, which loses
-    digits once alpha is large.
+    An order that is not an integer, k = +-(j + f) with 0 < f < 1, starts
+    the integer product at the order +-f, Gamma(alpha + f) / (Gamma(alpha) beta^f) or
+    beta^f Gamma(alpha - f) / Gamma(alpha), from the accurate ratio
+    ``_gamma_shift_ratio`` instead of a log-gamma difference, which loses
+    digits once alpha is large and overflows past about 2.5e305.
     """
     if float(k).is_integer():
         if k >= 0:
             return _product(int(k), alpha, 1, 1.0, 1.0, 0, beta)
         return _product(int(-k), 1, 0, beta, alpha, -1)
-    if float(2.0 * k).is_integer():
-        if k > 0:
-            return _product(int(k), alpha + 0.5, 1, 1.0, 1.0, 0, beta,
-                            _gamma_half_ratio(alpha) / math.sqrt(beta))
-        return _product(int(-k), 1, 0, beta, alpha - 0.5, -1, 1.0,
-                        math.sqrt(beta) / _gamma_half_ratio(alpha - 0.5))
-    return math.exp(_log_gamma_moment(alpha, beta, k))
+    f = abs(k) % 1.0
+    root = math.sqrt(beta) if f == 0.5 else beta ** f
+    if k > 0:
+        return _product(int(k), alpha + f, 1, 1.0, 1.0, 0, beta,
+                        _gamma_shift_ratio(alpha, f) / root)
+    return _product(int(-k), 1, 0, beta, alpha - f, -1, 1.0,
+                    root / _gamma_shift_ratio(alpha - f, f))
 
 
 def gamma_moment(p: GammaParams, k: float) -> float:
     """E(X^k) = beta^(-k) Gamma(k + alpha) / Gamma(alpha), for real k > -alpha.
 
     An integer order is the product prod_{i=1}^{k} (alpha + i - 1) / beta,
-    or prod_{i=1}^{-k} beta / (alpha - i) for k < 0; a half-integer order
-    is the like product started at the order +-1/2.
+    or prod_{i=1}^{-k} beta / (alpha - i) for k < 0; any other order is the
+    like product started at the order of its fractional part.
     """
     if not k > -p.alpha:
         raise UndefinedMomentError(

@@ -26,6 +26,15 @@ MAX_SERIES_TERMS = 10_000
 
 _STOP_EPS = 2.0 ** -53
 
+#: Products of more factors than this are checked against the double range
+#: from a log-gamma estimate before they are multiplied out.
+_PRODUCT_ESTIMATE_FROM = 4096
+
+#: log of the largest double, and of half the smallest subnormal, below
+#: which a positive value rounds to zero.
+_LOG_MAX = math.log(2.0) * 1024
+_LOG_HALF_TINY = math.log(2.0) * -1075
+
 
 @dataclass(frozen=True)
 class HypergeomEval:
@@ -102,8 +111,18 @@ def _product(q: int, c0, c1, n: float, d0: float, d1, s: float = 1.0,
     the way to a result inside the double range. As the factors do not
     decrease, the loop stops once the outcome is certain: an OverflowError
     once the product is past the double range and rising, and zero once it is
-    below it and no factor exceeds 1.
+    below it and no factor exceeds 1. A product of more than
+    ``_PRODUCT_ESTIMATE_FROM`` factors is first estimated from log-gamma
+    values (:func:`_log_product`); an estimate past the double range by more
+    than its own error margin settles the outcome at once, in place of a loop
+    whose length grows with q, and any other takes the loop.
     """
+    if q > _PRODUCT_ESTIMATE_FROM and start > 0.0:
+        log_value, margin = _log_product(q, c0, c1, n, d0, d1, s, start)
+        if log_value - margin > _LOG_MAX:
+            raise OverflowError(f"a moment scale of {q} factors is beyond the double range")
+        if log_value + margin < _LOG_HALF_TINY:
+            return 0.0
     mant, exp = (start, 0) if 1e-150 < start < 1e150 else math.frexp(start)
     for i in range(1, q + 1):
         f = (c0 + c1 * (i - 1)) * (n / (d0 + d1 * i)) / s
@@ -118,23 +137,64 @@ def _product(q: int, c0, c1, n: float, d0: float, d1, s: float = 1.0,
     return math.ldexp(mant, exp)
 
 
-def _gamma_half_ratio(x: float) -> float:
-    """Gamma(x + 1/2) / Gamma(x) for x > 0, to a few ulps at every x.
+def _log_product(q: int, c0, c1, n: float, d0: float, d1, s: float,
+                 start: float) -> tuple[float, float]:
+    """The log of the :func:`_product` of the same arguments, and a margin
+    that bounds its rounding error.
+
+    Every caller has c0 > 0 and c1 >= 0 in the numerators and d1 <= 0 in the
+    denominators. With c1 > 0 the numerators multiply to
+    c1^q Gamma(c0/c1 + q) / Gamma(c0/c1), and with d1 < 0 the denominators to
+    |d1|^q Gamma(x) / Gamma(x - q), x = d0/|d1| > q; c1 = 0 and d1 = 0 give
+    powers. The margin, 1e-12 of the sum of the magnitudes of the terms plus
+    one, is far above their rounding, a few ulps of each.
+    """
+    terms = [math.log(start), q * math.log(n), -q * math.log(s)]
+    if c1:
+        terms += [q * math.log(c1), _log_gamma_ratio(c0 / c1, q)]
+    else:
+        terms.append(q * math.log(c0))
+    if d1:
+        x = d0 / -d1
+        terms += [-q * math.log(-d1), -_log_gamma_ratio(x - q, q)]
+    else:
+        terms.append(-q * math.log(d0))
+    return math.fsum(terms), 1.0 + 1e-12 * math.fsum(map(abs, terms))
+
+
+def _gamma_shift_ratio(x: float, a: float) -> float:
+    """Gamma(x + a) / Gamma(x) for x > 0 and 0 < a < 1, to a few ulps at every x.
 
     The difference of log-gamma values loses the ratio's digits once x is
-    large (lgamma(5e5) carries an absolute error near 1e-9). Instead x is
-    moved up to at least 10 by Gamma(x+1/2)/Gamma(x) = (x+1/2)/x *
-    Gamma(x+3/2)/Gamma(x+1), and the ratio there is sqrt(x) times the
-    exponential of the difference of the two Stirling series, with
-    x log(1 + 1/(2x)) - 1/2 taken through log1p. The factor sqrt(x) stays
-    out of the exponential, whose rounding would grow with log x.
+    large (lgamma(5e5) carries an absolute error near 1e-9, and lgamma
+    overflows past about 2.5e305). Instead x is moved up to at least 10 by
+    Gamma(x+a)/Gamma(x) = (x+a)/x * Gamma(x+1+a)/Gamma(x+1), and the ratio
+    there is x^a times the exponential of the difference of the two Stirling
+    series, with (x + a - 1/2) log(1 + a/x) - a taken through log1p. The
+    factor x^a (sqrt(x) for a = 1/2) stays out of the exponential, whose
+    rounding would grow with log x.
     """
     scale = 1.0
     while x < 10.0:
-        scale *= x / (x + 0.5)
+        scale *= x / (x + a)
         x += 1.0
-    log_ratio = (x * math.log1p(0.5 / x) - 0.5) + (_stirling(x + 0.5) - _stirling(x))
-    return scale * math.sqrt(x) * math.exp(log_ratio)
+    log_ratio = ((x + (a - 0.5)) * math.log1p(a / x) - a) + (_stirling(x + a) - _stirling(x))
+    return scale * (math.sqrt(x) if a == 0.5 else x ** a) * math.exp(log_ratio)
+
+
+def _log_gamma_ratio(y: float, q: float) -> float:
+    """lgamma(y + q) - lgamma(y) for y > 0 and q >= 0, to about 1e-15 of
+    q log(y + q) + q.
+
+    From y = 10 on it is the difference of the Stirling forms,
+    q log(y + q) + (y - 1/2) log(1 + q/y) - q, whose terms stay near the
+    result's size where the two log-gamma values, about y log y each, would
+    cancel (and overflow past y = 2.5e305).
+    """
+    if y < 10.0:
+        return math.lgamma(y + q) - math.lgamma(y)
+    return (q * math.log(y + q) + (y - 0.5) * math.log1p(q / y) - q
+            + (_stirling(y + q) - _stirling(y)))
 
 
 def _stirling(y: float) -> float:

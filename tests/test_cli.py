@@ -1,5 +1,7 @@
 """End-to-end CLI tests: JSON schema, exit codes, seeding, conventions."""
 
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import run_cli
+from tmoments.cli import _answer, _to_json, main
 from tmoments.t1d import TParams1D, central_moment
 from tmoments.tnd import TParamsND, raw_moment_nd
 from tmoments.truncated import Rectangle, trunc_t_moment
@@ -389,3 +392,69 @@ class TestComputedValues:
                        "--nu", "7", "--lower", "-1", "--upper", "2", "--tol", "1e-7")
         assert proc.returncode == 0, proc.stderr
         assert "pass" in proc.stderr
+
+
+def run_in_process(*argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of the CLI's ``main`` on ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _one_d_boxes():
+    """A seeded grid of 1-D requests: (k, lower, upper, mu, sigma, nu), None for an open side."""
+    rng = np.random.default_rng(20240611)
+    cases = []
+    for i in range(48):
+        side = ("bounded", "lower", "upper", "full")[i % 4]
+        lower = float(rng.uniform(-8.0, 4.0))
+        upper = lower + float(rng.uniform(0.05, 8.0))
+        cases.append((int(rng.integers(0, 7)),
+                      lower if side in ("bounded", "lower") else None,
+                      upper if side in ("bounded", "upper") else None,
+                      float(rng.uniform(-5.0, 5.0)), float(10.0 ** rng.uniform(-1.0, 1.0)),
+                      1.5 + 58.5 * float(rng.uniform()) ** 3))
+    # a box far from mu, where the recurrence hands over to the panels
+    cases.append((6, -1.0, 1.0, 5.0, 1.0, 30.0))
+    return cases
+
+
+class TestOneDimensionalTruncatedRoute:
+    """A 1-D corrected ``truncated`` request given by scalars is served by
+    t1d without the n-D parameter and box types; its output must be that of
+    the library route ``trunc_t_moment(k, Rectangle, TParamsND)``."""
+
+    def test_stdout_matches_the_library_route(self):
+        seen = set()
+        for k, lower, upper, mu, sigma, nu in _one_d_boxes():
+            argv = ["truncated", f"--k={k}", f"--mu={mu!r}", f"--sigma={sigma!r}", f"--nu={nu!r}"]
+            argv += [f"--lower={lower!r}"] if lower is not None else []
+            argv += [f"--upper={upper!r}"] if upper is not None else []
+            r = trunc_t_moment(k, Rectangle([-math.inf if lower is None else lower],
+                                            [math.inf if upper is None else upper]),
+                               TParamsND([mu], [[sigma]], nu))
+            response, code = _answer(r)
+            assert run_in_process(*argv)[:2] == (code, _to_json(response) + "\n"), argv
+            bounded = lower is not None and upper is not None
+            seen.add(("open", "bounded")[bounded] + (" k >= nu" if k >= nu else ""))
+            if "quadrature_panels" in r.diagnostics:
+                seen.add("panels" if k < nu else "panels k >= nu")
+        assert seen >= {"open", "bounded", "open k >= nu", "bounded k >= nu", "panels",
+                        "panels k >= nu"}, seen
+
+    @pytest.mark.parametrize("route", [(), ("--sigma-mat", "[[1]]"), ("--mode", "literal")])
+    @pytest.mark.parametrize("bad", [("--lower", "1", "--upper", "1"),
+                                     ("--lower", "2", "--upper", "1"),
+                                     ("--lower", "nan"), ("--upper", "nan"),
+                                     ("--lower=-1", "--nu", "inf")])
+    def test_bad_box_or_nu_is_two_on_both_routes(self, route, bad):
+        code, out, err = run_in_process("truncated", "--k", "2", "--nu", "5", *route, *bad)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_numpy_scalars_serialize_as_before(self):
+        payload = {"flag": np.bool_(True), "count": np.int64(7), "single": np.float32(0.1),
+                   "list": [np.float64(2.5), np.bool_(False), np.int32(-3)]}
+        assert _to_json(payload) == ('{"flag": true, "count": 7, "single": 0.10000000149011612, '
+                                     '"list": [2.5, false, -3]}')

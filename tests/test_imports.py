@@ -4,9 +4,12 @@ The closed-form paths must not pay for SciPy: ``import tmoments``, the
 ``one-d`` and ``multi`` subcommands and 1-D ``truncated`` requests load no
 ``scipy`` module, and 2-D and 3-D ``truncated`` requests load
 ``scipy.special`` alone, without QUADPACK, ``scipy.linalg`` or the oracle
-module. The checks run in fresh interpreters and compare module sets, so
-they do not depend on time. A static scan keeps the library from importing
-its own oracle.
+module. The scalar paths must not pay for numpy either: a ``python -m
+tmoments`` process serving ``one-d`` or a 1-D corrected ``truncated``
+request given by scalars loads no ``numpy`` module, whatever its exit code.
+The checks run in fresh interpreters and compare module sets, so they do
+not depend on time. A static scan keeps the library from importing its own
+oracle.
 """
 
 import ast
@@ -93,6 +96,40 @@ class TestImportBudget:
         loaded = heavy_modules_after(_RUN_CLI.format(argv=argv))
         for name in ("scipy.integrate", "scipy.linalg", "tmoments.oracle"):
             assert name in loaded, name
+
+
+def cli_numpy_modules(*argv) -> tuple[int, list[str]]:
+    """Exit code of ``python -m tmoments *argv`` in a fresh interpreter, and
+    the numpy modules it imported, read from ``-X importtime``."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "tmoments", *argv],
+                          capture_output=True, text=True)
+    names = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")]
+    return proc.returncode, [name for name in names if name.split(".")[0] == "numpy"]
+
+
+class TestScalarRequestsLoadNoNumpy:
+    @pytest.mark.parametrize("argv, code", [
+        (["one-d", "--kind", "raw", "--k", "3", "--mu", "1.5", "--sigma", "2", "--nu", "7"], 0),
+        (["one-d", "--kind", "central", "--k", "4", "--mu", "1.5", "--nu", "7"], 0),
+        (["one-d", "--kind", "abs", "--k", "3", "--mu=-0.4", "--scale", "2", "--nu", "7"], 0),
+        (["one-d", "--kind", "central-abs", "--k", "3", "--nu", "7"], 0),
+        (["one-d", "--k", "3", "--mu", "1.5", "--nu", "7", "--via-central"], 0),
+        (["one-d", "--k", "3", "--mu", "1.5", "--nu", "7", "--format", "plain"], 0),
+        (["one-d", "--k", "7", "--nu", "7"], 3),
+        (["truncated", "--k", "2", "--lower=-1", "--upper", "2", "--mu", "0.2",
+          "--sigma", "1.3", "--nu", "7"], 0),
+        (["truncated", "--k", "1", "--lower", "0", "--nu", "5"], 0),
+        (["truncated", "--k", "2", "--mu", "0.5", "--nu", "5"], 0),
+        (["truncated", "--k", "3", "--upper", "1", "--nu", "3"], 3),
+    ])
+    def test_scalar_request_loads_no_numpy(self, argv, code):
+        assert cli_numpy_modules(*argv) == (code, [])
+
+    def test_multi_loads_numpy(self):
+        # a control: the probe sees numpy where a request needs it
+        code, loaded = cli_numpy_modules("multi", "--k", "2,1", "--nu", "9")
+        assert code == 0 and "numpy" in loaded
 
 
 #: Modules only the oracles and the CLI that runs them may import.

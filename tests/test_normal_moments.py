@@ -195,6 +195,41 @@ class TestGammaMoment:
             assert math.isclose(lhs, rhs, rel_tol=1e-11)
 
 
+class TestLongProducts:
+    """Integer orders of more than a few thousand factors."""
+
+    @pytest.mark.parametrize("k, expected", [(10**8, OverflowError), (2 * 10**7, 0.0)])
+    def test_out_of_range_outcome_is_settled_at_once(self, k, expected):
+        # the factors i/1e7 take the product below the double range and back
+        # up; multiplied out, 10**8 of them took 7 s to end in OverflowError
+        start = time.perf_counter()
+        if expected is OverflowError:
+            with pytest.raises(OverflowError, match="beyond the double range"):
+                gamma_moment(GammaParams(1.0, 1e7), k)
+        else:
+            assert gamma_moment(GammaParams(1.0, 1e7), k) == expected
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("k, beta, expected", [
+        # log values 709.7, -744, -745.5 and 710: inside the estimate's margin
+        # of the range's ends, so the product is multiplied out as before
+        (5000, 1597.6493980344624, 1.6549840276740987e+308),
+        (5000, 2136.7231620099706, 1e-323),
+        (5000, 2137.364275120732, 0.0),
+        (5000, 1597.553541946291, OverflowError),
+        (20000, 7103.167475529025, 1.6549840276749537e+308),
+        (20000, 7638.6875966387715, 1e-323),
+        (20000, 7639.260519692871, 0.0),
+        (20000, 7103.0609288159985, OverflowError),
+    ])
+    def test_values_at_the_ends_of_the_range_are_unchanged(self, k, beta, expected):
+        if expected is OverflowError:
+            with pytest.raises(OverflowError):
+                gamma_moment(GammaParams(1.0, beta), k)
+        else:
+            assert gamma_moment(GammaParams(1.0, beta), k) == expected
+
+
 class TestParamValidation:
     def test_normal_variance_positive(self):
         with pytest.raises(DomainError):

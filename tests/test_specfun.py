@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import mp_incomplete_beta
 
 from tmoments.errors import DomainError, NonConvergenceError
-from tmoments.specfun import (MAX_SERIES_TERMS, _gamma_half_ratio, _series, _t_halves, gamma_ratio,
+from tmoments.specfun import (MAX_SERIES_TERMS, _gamma_shift_ratio, _series, _t_halves, gamma_ratio,
                               hyp1f1, hyp2f1, log_gamma, rising_factorial)
 
 mpmath.mp.dps = 40
@@ -120,7 +120,16 @@ class TestGammaRatio:
     def test_half_ratio_against_mpmath(self, x):
         # lgamma differences lose this ratio's digits at large x (1e-9 at 5e5)
         ref = float(mpmath.gamma(mpmath.mpf(x) + 0.5) / mpmath.gamma(x))
-        assert abs(_gamma_half_ratio(x) - ref) <= 1e-15 * ref
+        assert abs(_gamma_shift_ratio(x, 0.5) - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("a", [0.1, 0.25, 0.75, 0.9])
+    @pytest.mark.parametrize("x", [1e-3, 0.25, 3.5, 9.99, 10.0, 5e5, 1e15, 1e300, 1.7e308])
+    def test_shift_ratio_against_mpmath(self, x, a):
+        # lgamma overflows past about 2.5e305, where this ratio is near x^a
+        with mpmath.workdps(40 + int(math.log10(x + 1.0))):
+            ref = float(mpmath.exp(mpmath.loggamma(mpmath.mpf(x) + a)
+                                   - mpmath.loggamma(mpmath.mpf(x))))
+        assert abs(_gamma_shift_ratio(x, a) - ref) <= 4e-15 * ref
 
     @given(st.floats(0.1, 40.0), st.integers(0, 12))
     @settings(max_examples=60, deadline=None)
@@ -329,7 +338,8 @@ class TestStudentTHalves:
     @pytest.mark.parametrize("nu", [0.5, 1.0, 7.0, 38.0, 1e3, 1e6])
     @pytest.mark.parametrize("x", [0.3, 1.0, 1.7, 2.0, 5.0, 30.0])
     def test_both_halves_keep_relative_digits(self, x, nu):
-        centre, tail, error, terms = _t_halves(x, nu, _gamma_half_ratio(nu / 2) / math.sqrt(math.pi))
+        norm = _gamma_shift_ratio(nu / 2, 0.5) / math.sqrt(math.pi)
+        centre, tail, error, terms = _t_halves(x, nu, norm)
         ref_centre, ref_tail = self.reference(x, nu)
         assert abs(centre - ref_centre) <= 5e-15 * ref_centre
         # the tail is 1/2 - centre only where it is at least 0.04; far out
@@ -338,6 +348,6 @@ class TestStudentTHalves:
         assert 0 < terms < 400
 
     def test_ends(self):
-        norm = _gamma_half_ratio(2.5) / math.sqrt(math.pi)
+        norm = _gamma_shift_ratio(2.5, 0.5) / math.sqrt(math.pi)
         assert _t_halves(0.0, 5.0, norm) == (0.0, 0.5, 0.0, 0)
         assert _t_halves(math.inf, 5.0, norm) == (0.5, 0.0, 0.0, 0)

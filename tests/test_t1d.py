@@ -477,6 +477,34 @@ class TestScaleSweep:
         assert abs(got - ref) <= 1e-15 * ref, (got, mpmath.nstr(ref, 17))
 
 
+    @pytest.mark.parametrize("nu", [1e3, 1e6, 1e15, 1e308])
+    def test_noninteger_absolute_moment_at_large_nu(self, nu):
+        # E|T - mu|^2.5 = nu^1.25 Gamma(1.75) Gamma((nu - 2.5)/2) / (sqrt(pi) Gamma(nu/2));
+        # the lgamma difference overflowed at nu = 1e308, where the value is
+        # near the normal limit 2^1.25 Gamma(1.75)/sqrt(pi) = 1.2333
+        with mpmath.workdps(40 + int(math.log10(nu))):
+            n, k = mpmath.mpf(nu), mpmath.mpf(2.5)
+            ref = (n ** (k / 2) * mpmath.gamma((k + 1) / 2) / mpmath.sqrt(mpmath.pi)
+                   * mpmath.exp(mpmath.loggamma((n - k) / 2) - mpmath.loggamma(n / 2)))
+        got = central_abs_moment(2.5, TParams1D(0.0, 1.0, nu), allow_noninteger=True).value
+        assert abs(got - ref) <= 1e-15 * ref, (got, mpmath.nstr(ref, 17))
+
+    @given(st.floats(-400.0, 400.0), st.floats(-3.0, 15.0), st.floats(-3.0, 15.0),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_gamma_noninteger_orders(self, k, log_alpha, log_beta, mixing):
+        # the accurate order of the fractional part times the product of the
+        # other factors; an lgamma difference was 1e3 off near alpha = 1e15
+        assume(not float(2.0 * k).is_integer())
+        alpha = 10.0 ** log_alpha
+        beta = alpha if mixing else 10.0 ** log_beta
+        with mpmath.workdps(40):
+            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+            ref = (b ** (-k) * mpmath.exp(mpmath.loggamma(k + a) - mpmath.loggamma(a))
+                   if k > -alpha else 0)
+            _check_against(lambda: gamma_moment(GammaParams(alpha, beta), k), ref)
+
+
 class TestScaleMixtureTable:
     """Values that separate power and gamma factors got wrong, against 50-digit mpmath."""
 
