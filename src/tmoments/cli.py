@@ -17,8 +17,7 @@ scalars (no --sigma-mat or --sigma-file) run on the pure-Python closed forms
 in ``t1d`` and load no numpy; multi and the other truncated requests load
 numpy, and 2-D and 3-D truncated requests also ``scipy.special`` (Owen's T,
 through the truncated module) and nothing else from SciPy; oracle and verify
-load the oracle module, and with it QUADPACK (``scipy.integrate``) and
-``scipy.linalg``.
+load numpy and the oracle module, which needs no SciPy.
 """
 
 from __future__ import annotations

@@ -59,10 +59,15 @@ def _check_spd(mat, what: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DomainError(f"{what} must be a square matrix, got shape {mat.shape}")
-    scale = max(np.abs(mat).max(), 1.0)
-    if np.abs(mat - mat.T).max() > _SYMMETRY_TOL * scale:
+    top = np.abs(mat).max()
+    if not math.isfinite(top):
+        raise DomainError(f"{what} must have finite entries")
+    scale = max(top, 1.0)
+    # halves first: the sum of two entries near the double limit overflows
+    half = 0.5 * mat
+    if np.abs(half - half.T).max() > 0.5 * _SYMMETRY_TOL * scale:
         raise DomainError(f"{what} is not symmetric")
-    mat = 0.5 * (mat + mat.T)
+    mat = half + half.T
     eigs = np.linalg.eigvalsh(mat)
     if eigs[0] <= 0:
         raise DomainError(f"{what} is not positive definite (smallest eigenvalue {eigs[0]:.3e})")

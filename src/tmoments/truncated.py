@@ -60,9 +60,9 @@ _SQRT_HALF = math.sqrt(0.5)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _EPS = 2.0 ** -53
 
-#: Relative error the Gauss-Kronrod rule (mixing and 3-D conditioning
-#: integrals) accepts whatever its absolute tolerance, and the number of
-#: panels it may evaluate before giving up.
+#: Relative error the Gauss-Kronrod rule (mixing, 3-D conditioning and the
+#: oracle's 1-D integrals) accepts whatever its absolute tolerance, and the
+#: number of panels it may evaluate before giving up.
 _MIXTURE_RTOL = 1e-12
 _MAX_PANELS = 500
 
@@ -366,6 +366,10 @@ def _gauss_kronrod(f, edges: tuple[float, ...], tol: float) -> QuadResult:
     left, or whose difference is down to rounding, and bisects a panel that
     some column leaves open. ``NonConvergenceError`` past ``_MAX_PANELS``
     panels, or when the closed panels' errors exceed the target.
+
+    The mixing integral (:func:`_t_mixture`), the 3-D conditioning integral
+    (:func:`_tvn_box`) and the oracle's 1-D quadrature (``oracle.quad``) all
+    run on it.
     """
     lo, hi = np.array(edges[:-1], dtype=float), np.array(edges[1:], dtype=float)
     value = error = 0.0

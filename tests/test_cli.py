@@ -218,6 +218,24 @@ class TestExitCodes:
         assert "mu must not be NaN" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["truncated", "--k", "2", "--lower=-1", "--nu", "5", "--sigma-mat", "[[Infinity]]"],
+        ["truncated", "--k", "2", "--lower=-1", "--nu", "5", "--sigma-mat", "[[NaN]]"],
+        ["multi", "--k", "2,0", "--nu", "5", "--sigma-mat", "[[Infinity,0],[0,1]]"],
+    ])
+    def test_non_finite_matrix_is_two(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert "finite entries" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+    def test_huge_matrix_matches_the_scalar_route(self):
+        # the symmetrized [[1e308]] once overflowed to inf and divided by zero
+        argv = ("truncated", "--k", "2", "--lower=-1", "--nu", "5")
+        by_matrix = run_json(*argv, "--sigma-mat", "[[1e308]]")
+        by_scalar = run_json(*argv, "--sigma", "1e308")
+        assert by_matrix["value"] == by_scalar["value"] == 1.6666666666666667e-308
+
     def test_invalid_env_seed_is_two(self):
         proc = run_cli("oracle", "--k", "1", "--nu", "9", "--method", "mc",
                        "--samples", "1000", env_extra={"TMOMENT_SEED": "abc"})

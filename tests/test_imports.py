@@ -4,12 +4,15 @@ The closed-form paths must not pay for SciPy: ``import tmoments``, the
 ``one-d`` and ``multi`` subcommands and 1-D ``truncated`` requests load no
 ``scipy`` module, and 2-D and 3-D ``truncated`` requests load
 ``scipy.special`` alone, without QUADPACK, ``scipy.linalg`` or the oracle
-module. The scalar paths must not pay for numpy either: a ``python -m
+module. The oracles need no SciPy either: ``oracle`` requests, by quadrature
+or Monte Carlo, and 1-D ``verify`` requests load the oracle module and no
+``scipy`` module. The scalar paths must not pay for numpy: a ``python -m
 tmoments`` process serving ``one-d`` or a 1-D corrected ``truncated``
 request given by scalars loads no ``numpy`` module, whatever its exit code.
 The checks run in fresh interpreters and compare module sets, so they do
 not depend on time. A static scan keeps the library from importing its own
-oracle.
+oracle, and every module, the oracle included, from importing QUADPACK
+(``scipy.integrate``) or ``scipy.linalg``.
 """
 
 import ast
@@ -89,13 +92,27 @@ class TestImportBudget:
         for name in ("scipy.integrate", "scipy.linalg", "tmoments.oracle"):
             assert name not in loaded, name
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--kind", "raw", "--k", "3", "--mu", "1.5", "--nu", "7", "--method", "quad"],
+        ["oracle", "--kind", "abs", "--k", "3", "--mu=-0.8", "--sigma", "2", "--nu", "6",
+         "--method", "quad"],
+        ["oracle", "--kind", "raw", "--k", "2", "--lower=-1", "--upper", "2", "--mu", "0.2",
+         "--nu", "7", "--method", "quad"],
+        ["oracle", "--k", "2,1", "--mu", "0.2,-0.1", "--sigma-mat", "[[1.2,0.4],[0.4,0.9]]",
+         "--nu", "9", "--method", "mc", "--samples", "2000"],
+        ["verify", "--kind", "central", "--k", "4", "--mu", "0.5", "--nu", "9"],
+    ])
+    def test_oracle_requests_load_no_scipy(self, argv):
+        assert heavy_modules_after(_RUN_CLI.format(argv=argv)) == ["tmoments.oracle"]
+
     def test_verify_loads_the_oracle(self):
-        # The probe must see QUADPACK and the oracle where they are needed, or
-        # the checks above prove nothing.
+        # The probe must see the oracle where it is needed, or the checks
+        # above prove nothing; QUADPACK and scipy.linalg stay out.
         argv = ["verify", "--k", "2", "--mu", "0.5", "--nu", "7"]
         loaded = heavy_modules_after(_RUN_CLI.format(argv=argv))
-        for name in ("scipy.integrate", "scipy.linalg", "tmoments.oracle"):
-            assert name in loaded, name
+        assert "tmoments.oracle" in loaded
+        for name in ("scipy.integrate", "scipy.linalg"):
+            assert name not in loaded, name
 
 
 def cli_numpy_modules(*argv) -> tuple[int, list[str]]:
@@ -133,7 +150,9 @@ class TestScalarRequestsLoadNoNumpy:
 
 
 #: Modules only the oracles and the CLI that runs them may import.
-_ORACLE_ONLY = ("tmoments.oracle", "scipy.integrate", "scipy.linalg")
+_ORACLE_ONLY = ("tmoments.oracle",)
+#: Modules no tmoments module imports, the oracle included.
+_NOT_IMPORTED = ("scipy.integrate", "scipy.linalg")
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -150,20 +169,34 @@ def _imported_modules(path: Path) -> set[str]:
     return names
 
 
+def _within(name: str, modules) -> bool:
+    return any(name == m or name.startswith(m + ".") for m in modules)
+
+
 class TestLibraryLeavesTheOracleAlone:
     def test_no_library_module_imports_oracle_code(self):
         src = Path(tmoments.__file__).parent
         for path in sorted(src.glob("*.py")):
             if path.stem in ("cli", "oracle"):
                 continue
-            bad = {name for name in _imported_modules(path)
-                   if any(name == m or name.startswith(m + ".") for m in _ORACLE_ONLY)}
+            bad = {name for name in _imported_modules(path) if _within(name, _ORACLE_ONLY)}
+            assert not bad, (path.name, sorted(bad))
+
+    def test_no_module_imports_quadpack_or_linalg(self):
+        src = Path(tmoments.__file__).parent
+        for path in sorted(src.glob("*.py")):
+            bad = {name for name in _imported_modules(path) if _within(name, _NOT_IMPORTED)}
             assert not bad, (path.name, sorted(bad))
 
     def test_the_scan_sees_the_cli_import(self):
         # a control: the scan finds the imports that cli is allowed to make
         names = _imported_modules(Path(tmoments.__file__).parent / "cli.py")
         assert "tmoments.oracle" in names
+
+    def test_the_scan_sees_a_scipy_submodule(self):
+        # a control: the scan names scipy submodules however they are imported
+        names = _imported_modules(Path(tmoments.__file__).parent / "truncated.py")
+        assert "scipy.special" in names
 
 
 class TestLazyNamespace:

@@ -1,9 +1,16 @@
-"""Sampler reproducibility and quadrature/Monte Carlo helper behavior."""
+"""Sampler reproducibility and quadrature/Monte Carlo helper behavior.
+
+The 1-D quadrature runs on the package's Gauss-Kronrod rule; QUADPACK
+(``scipy.integrate.quad``) stays here as its independent check.
+"""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad as quadpack
 
 from tmoments.errors import DomainError, EstimationError, NonConvergenceError
 from tmoments.normal_moments import GammaParams
@@ -11,7 +18,7 @@ from tmoments.oracle import (DEFAULT_SEED, KINDS, McEstimate, QuadResult, _run_q
                              gamma_pdf, mc_moment_nd, mixture_pdf_1d, normal_pdf,
                              quad_mass_nd, quad_moment_1d, sample_t_1d, sample_t_nd,
                              tensor_quad)
-from tmoments.t1d import TParams1D
+from tmoments.t1d import TParams1D, central_abs_moment, raw_moment, t_pdf
 from tmoments.tnd import TParamsND
 from tmoments.truncated import Rectangle
 
@@ -104,9 +111,136 @@ class TestQuadMoment1D:
 
     def test_reports_nonconvergence(self):
         with pytest.raises(NonConvergenceError) as exc:
-            _run_quad(lambda x: math.sin(1e6 * x), 0.0, 1.0, 1e-10)
+            _run_quad(lambda x: np.sin(1e6 * x), 0.0, 1.0, 1e-10)
         assert exc.value.iterations > 0
         assert exc.value.est_error > 1e-10
+
+
+def quadpack_moment(kind, k, p, bounds):
+    """QUADPACK on the tangent form t = mu + c tan(theta), c = sqrt(nu/sigma),
+    which maps the line onto a finite interval: (value, abserr).
+
+    Each side of mu is written from its end at theta = +-pi/2, as
+    t = mu +- c cot(phi), so the nodes near that end, where a heavy tail piles
+    up against an algebraic singularity, keep their full precision.
+    """
+    c = math.sqrt(p.nu / p.sigma)
+    shift = p.mu if kind in ("central", "central-abs") else 0.0
+    lo, hi = bounds
+    value = abserr = 0.0
+    for side in (1.0, -1.0):
+        # distances from mu of the part of the range on this side
+        near, far = ((max(lo - p.mu, 0.0), hi - p.mu) if side > 0
+                     else (max(p.mu - hi, 0.0), p.mu - lo))
+        if far <= near:
+            continue
+
+        def integrand(phi, side=side):
+            t = p.mu + side * c / math.tan(phi)
+            d = t - shift
+            weight = d ** k if kind in ("raw", "central") else abs(d) ** k
+            return weight * t_pdf(t, p) * c / math.sin(phi) ** 2
+
+        kink = -side * p.mu
+        points = [math.atan2(c, kink)] if kind == "abs" and near < kink < far else None
+        part = quadpack_value(integrand, math.atan2(c, far), math.atan2(c, near), points)
+        value, abserr = value + part[0], abserr + part[1]
+    return value, abserr
+
+
+def quadpack_value(f, lo, hi, points=None):
+    with warnings.catch_warnings():
+        # an IntegrationWarning still comes with QUADPACK's error estimate
+        warnings.simplefilter("ignore")
+        value, abserr = quadpack(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=500,
+                                 points=points)[:2]
+    return value, abserr
+
+
+def assert_matches_quadpack(res, ref, tol):
+    value, abserr = ref
+    assert abs(res.value - value) <= max(tol, 1e-12 * abs(res.value)) + abserr, (res, ref)
+
+
+def _quadpack_grid():
+    """Seeded (kind, k, p, bounds): every kind with k up to 8, half of them
+    with nu - k in (0.2, 1), the two far-kink cases, and finite, one-sided
+    and full-line ranges."""
+    rng = np.random.default_rng(20261019)
+    params = [TParams1D(-2.0, 0.5, 2.5), TParams1D(161.6, 1.758, 8.36),
+              TParams1D(26.9, 0.49, 4.38)]
+    cases = [("raw", 2, params[0], (-math.inf, math.inf)),
+             ("abs", 5, params[1], (-math.inf, math.inf)),
+             ("abs", 3, params[2], (-math.inf, math.inf))]
+    for kind in KINDS:
+        for k in range(9):
+            for heavy in (False, True):
+                nu = k + (rng.uniform(0.2, 1.0) if heavy else rng.uniform(1.0, 30.0))
+                p = TParams1D(float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-2, 2.5)),
+                              float(10 ** rng.uniform(-1, 1)), float(nu))
+                a, b = sorted(p.mu + rng.normal(0.0, 3.0, 2) / math.sqrt(p.sigma))
+                bounds = [(-math.inf, math.inf), (a, math.inf), (-math.inf, b), (a, b)]
+                cases.append((kind, k, p, bounds[int(rng.integers(4))]))
+    return cases
+
+
+class TestAgainstQuadpack:
+    @pytest.mark.parametrize("kind, k, p, bounds", _quadpack_grid())
+    def test_quad_moment_1d(self, kind, k, p, bounds):
+        res = quad_moment_1d(kind, k, p, bounds=bounds, tol=1e-11)
+        assert_matches_quadpack(res, quadpack_moment(kind, k, p, bounds), 1e-11)
+
+    @pytest.mark.parametrize("p", [TParams1D(-2.0, 0.5, 2.5), TParams1D(0.7, 3.0, 0.8),
+                                   TParams1D(1.3, 4.0, 8.0), TParams1D(-0.7, 0.8, 30.0)])
+    def test_mixture_pdf_1d(self, p):
+        mixing = GammaParams(p.nu / 2.0, p.nu / 2.0)
+        for t in p.mu + np.array([-6.0, -1.0, 0.0, 0.5, 4.0]) / math.sqrt(p.sigma):
+            res = mixture_pdf_1d(float(t), p, tol=1e-12)
+            ref = quadpack_value(lambda lam: normal_pdf(t, p.mu, 1.0 / (p.sigma * lam))
+                                 * gamma_pdf(lam, mixing), 0.0, math.inf)
+            assert_matches_quadpack(res, ref, 1e-12)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-13])
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 0.0), (0.0, math.inf), (-0.4, math.inf),
+                                        (-math.inf, 0.9), (-1.1, 0.6)])
+    @pytest.mark.parametrize("absolute", [True, False])
+    def test_run_quad_on_normal_integrands(self, absolute, lo, hi, tol):
+        # called the way the benchmark's reference values call it
+        for k, mean, var in ((1, 0.4, 1.7), (3, -1.2, 0.3), (6, 2.5, 4.0)):
+            def integrand(x):
+                return (abs(x) ** k if absolute else x ** k) * normal_pdf(x, mean, var)
+
+            assert_matches_quadpack(_run_quad(integrand, lo, hi, tol),
+                                    quadpack_value(integrand, lo, hi), tol)
+
+
+class TestHardRanges:
+    @pytest.mark.parametrize("kind, k, p, expected", [
+        # a location far beyond the scale: the density is evaluated in t - mu
+        ("raw", 1, TParams1D(1e6, 1.0, 4.0), lambda p: raw_moment(1, p).value),
+        # a normal-like peak 5500 scales from the kink at 0
+        ("abs", 3, TParams1D(-1000.0, 30.0, 100.0), lambda p: -raw_moment(3, p).value),
+        # nu - k = 0.107: the tail beyond where the density underflows
+        # (about 1e75) still holds 1e-8 of the moment
+        ("central-abs", 3, TParams1D(0.3, 3.2, 3.107), lambda p: central_abs_moment(3, p).value),
+        # a mixing law so narrow that the t is normal to 1e-12
+        ("raw", 4, TParams1D(3.0, 1.0, 1e12), lambda p: raw_moment(4, p).value),
+    ])
+    def test_matches_closed_form(self, kind, k, p, expected):
+        res = quad_moment_1d(kind, k, p, tol=1e-11)
+        ref = expected(p)
+        assert abs(res.value - ref) <= 1e-12 * abs(ref) + res.est_abs_error, (res, ref)
+
+    def test_order_above_nu_on_a_long_box(self):
+        # the integrand grows like t^(k - nu - 1) = t^-0.5 up to 1e10, where
+        # QUADPACK on the tangent form returns -6.09 with an error of 1.5e-9
+        with mpmath.workdps(30):
+            nu = mpmath.mpf(2.5)
+            norm = mpmath.gamma((nu + 1) / 2) / (mpmath.gamma(nu / 2) * mpmath.sqrt(nu * mpmath.pi))
+            ref = float(mpmath.quad(lambda t: t ** 3 * norm * (1 + t * t / nu) ** (-(nu + 1) / 2),
+                                    [10.0 ** j for j in range(11)]))
+        res = quad_moment_1d("raw", 3, TParams1D(0.0, 1.0, 2.5), bounds=(1.0, 1e10), tol=1e-11)
+        assert abs(res.value - ref) <= 1e-12 * abs(ref) + res.est_abs_error, (res, ref)
 
 
 class TestMixturePdf:

@@ -131,6 +131,30 @@ class TestGammaRatio:
                                    - mpmath.loggamma(mpmath.mpf(x))))
         assert abs(_gamma_shift_ratio(x, a) - ref) <= 4e-15 * ref
 
+    @pytest.mark.parametrize("d", [0.5, 1.0, 10.0, -0.25])
+    @pytest.mark.parametrize("x", [0.3, 3.7, 9.9, 12.5, 1e3, 1e5, 1e10, 3e12, 1e15])
+    def test_ratio_against_mpmath_at_every_size(self, x, d):
+        # exp(lgamma - lgamma) was off by 2.4e-10 at 1e5, 1.4e-5 at 1e10 and
+        # 72% at 1e15
+        with mpmath.workdps(60):
+            ref = float(mpmath.exp(mpmath.loggamma(mpmath.mpf(x + d))
+                                   - mpmath.loggamma(mpmath.mpf(x))))
+        assert rel_err(gamma_ratio(x + d, x), ref) <= 5e-15
+
+    @pytest.mark.parametrize("num, den", [(1e-3, 150.0), (0.0019, 148.1), (148.1, 0.0019),
+                                          (520.5, 480.25), (170.5, 0.5), (2e-300, 7.5)])
+    def test_far_apart_arguments(self, num, den):
+        # a tiny argument, and ratios near the ends of the double range
+        with mpmath.workdps(60):
+            ref = float(mpmath.exp(mpmath.loggamma(mpmath.mpf(num))
+                                   - mpmath.loggamma(mpmath.mpf(den))))
+        assert rel_err(gamma_ratio(num, den), ref) <= 1e-12
+
+    def test_overflow_and_underflow(self):
+        with pytest.raises(OverflowError):
+            gamma_ratio(1000.0, 1.0)
+        assert gamma_ratio(1.0, 1000.0) == 0.0
+
     @given(st.floats(0.1, 40.0), st.integers(0, 12))
     @settings(max_examples=60, deadline=None)
     def test_matches_rising_factorial(self, a, n):

@@ -67,6 +67,23 @@ class TestTParamsND:
         with pytest.raises(DomainError, match="mu must be a vector"):
             TParamsND([[0.0]], [[1.0]], 5.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entries_are_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite entries"):
+            TParamsND([0.0], [[bad]], 5.0)
+        with pytest.raises(DomainError, match="finite entries"):
+            TParamsND([0.0, 0.0], [[1.0, bad], [bad, 1.0]], 5.0)
+
+    def test_huge_entries_symmetrize_without_overflow(self):
+        # 0.5 (m + m^T) would be inf at 1e308
+        mat = [[1e308, 2e307], [2e307, 1.5e308]]
+        assert np.array_equal(TParamsND([0.0, 0.0], mat, 5.0).sigma_mat, mat)
+        assert TParamsND([0.0], [[1e308]], 5.0).sigma_mat[0, 0] == 1e308
+
+    def test_symmetrization_averages_within_tolerance(self):
+        p = TParamsND([0.0, 0.0], [[2.0, 0.3 + 1e-15], [0.3 - 1e-15, 1.0]], 5.0)
+        assert p.sigma_mat[0, 1] == p.sigma_mat[1, 0] == 0.3
+
     def test_arrays_are_frozen(self):
         p = TParamsND([0.0, 1.0], [[2.0, 0.3], [0.3, 1.0]], 5.0)
         with pytest.raises(ValueError):
